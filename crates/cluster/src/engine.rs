@@ -2970,6 +2970,8 @@ impl<'a> Engine<'a> {
         self.flight
             .count("net_advance_flow_steps", ns.advance_flow_steps);
         self.flight.count("net_heap_pushes", ns.heap_pushes);
+        // Always 0: the completion heap holds only live entries. Kept
+        // because trace consumers expect every counter name.
         self.flight
             .count("net_heap_compactions", ns.heap_compactions);
         self.flight

@@ -4,20 +4,22 @@
 //! its counter:
 //!
 //! 1. **Zero steady-state allocation** in the component hot loops: a
-//!    warmed-up [`FlowNet`] advance → mutate → recompute cycle, a
-//!    pre-sized NetFlow probe sampling cycle, and a warmed-up
-//!    [`EventQueue`] push → cancel → pop cycle must perform exactly zero
-//!    heap allocations.
+//!    warmed-up [`FlowNet`] advance → mutate → recompute cycle in both
+//!    solver modes, a pre-sized NetFlow probe sampling cycle, and a
+//!    warmed-up [`EventQueue`] push → cancel → pop cycle must perform
+//!    exactly zero heap allocations.
 //! 2. **Bounded allocations per event** for the full engine: a complete
 //!    fat-tree run must stay under a per-event allocation budget, so an
 //!    accidental O(all flows) collection creeping back into a dispatch
 //!    handler fails loudly.
 //!
-//! Everything lives in one `#[test]` because the counter is process-wide
-//! and the default test runner is multi-threaded.
+//! The counter is per thread, so allocations made by the test harness's
+//! other threads never land in a measured window. Everything the checks
+//! measure runs on the test's own thread (the engine run pins one solver
+//! worker).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use pythia_cluster::{run_scenario, ScenarioConfig, SchedulerKind};
 use pythia_des::{EventQueue, SimDuration, SimTime};
@@ -29,22 +31,32 @@ use pythia_workloads::SkewModel;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and drop-free: reading it never allocates, so
+    // the allocator can use it without recursing.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: a thread may still allocate while its locals are torn
+    // down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc_zeroed(layout)
     }
 }
@@ -52,8 +64,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// Drive one advance → mutate → recompute round on a warmed net.
@@ -65,6 +78,22 @@ fn net_cycle(net: &mut FlowNet, cbrs: &[pythia_netsim::FlowId], round: u64) {
         let rate = 1e9 + ((round * 7 + i as u64 * 13) % 100) as f64 * 1e6;
         net.set_cbr_rate(fid, rate);
     }
+    net.recompute();
+}
+
+/// The relaxed-mode cycle: [`net_cycle`], then step trunk 0 through
+/// dead → shared → full capacity, so the flows crossing it lose their
+/// completion projection, regain it, and have it moved in place.
+fn relaxed_cycle(
+    net: &mut FlowNet,
+    cbrs: &[pythia_netsim::FlowId],
+    trunk: pythia_netsim::LinkId,
+    full_bps: f64,
+    round: u64,
+) {
+    net_cycle(net, cbrs, round);
+    let cap = [0.0, 1.5e9, full_bps][(round % 3) as usize];
+    net.set_link_capacity(trunk, cap);
     net.recompute();
 }
 
@@ -107,33 +136,38 @@ fn hot_loops_allocation_budget() {
     // ---- 1a. FlowNet steady state: zero allocations. -------------------
     let mr = build_multi_rack(&MultiRackParams::default());
     let topo = &mr.topology;
-    let mut net = FlowNet::new(topo.clone());
     // Background CBR on both trunks plus long-lived adaptive flows, so a
     // cycle exercises the layered CBR refresh, the adaptive region solve
     // and metered byte integration together.
-    let mut cbrs = Vec::new();
-    for trunk in 0..2 {
-        let l = topo.find_link(mr.tors[0], mr.tors[1], trunk).unwrap();
-        let tuple = FiveTuple::udp(mr.tors[0], mr.tors[1], 9000 + trunk as u16, 9);
-        let path = Path::new(topo, vec![l]).unwrap();
-        cbrs.push(net.start_flow(FlowSpec::cbr(tuple, 1e9), path));
-    }
-    for i in 0..4u16 {
-        let s = mr.servers[i as usize];
-        let d = mr.servers[5 + i as usize];
-        let up = topo.find_link(s, mr.tors[0], 0).unwrap();
-        let tr = topo
-            .find_link(mr.tors[0], mr.tors[1], (i % 2) as usize)
-            .unwrap();
-        let down = topo.find_link(mr.tors[1], d, 0).unwrap();
-        let path = Path::new(topo, vec![up, tr, down]).unwrap();
-        // Big enough to outlive the whole measured window.
-        net.start_flow(
-            FlowSpec::tcp_transfer(FiveTuple::tcp(s, d, 40000 + i, 50060), 500_000_000_000),
-            path,
-        );
-    }
-    net.recompute();
+    let loaded_net = |relaxed: bool| {
+        let mut net = FlowNet::new(topo.clone());
+        net.set_relaxed_order(relaxed);
+        let mut cbrs = Vec::new();
+        for trunk in 0..2 {
+            let l = topo.find_link(mr.tors[0], mr.tors[1], trunk).unwrap();
+            let tuple = FiveTuple::udp(mr.tors[0], mr.tors[1], 9000 + trunk as u16, 9);
+            let path = Path::new(topo, vec![l]).unwrap();
+            cbrs.push(net.start_flow(FlowSpec::cbr(tuple, 1e9), path));
+        }
+        for i in 0..4u16 {
+            let s = mr.servers[i as usize];
+            let d = mr.servers[5 + i as usize];
+            let up = topo.find_link(s, mr.tors[0], 0).unwrap();
+            let tr = topo
+                .find_link(mr.tors[0], mr.tors[1], (i % 2) as usize)
+                .unwrap();
+            let down = topo.find_link(mr.tors[1], d, 0).unwrap();
+            let path = Path::new(topo, vec![up, tr, down]).unwrap();
+            // Big enough to outlive the whole measured window.
+            net.start_flow(
+                FlowSpec::tcp_transfer(FiveTuple::tcp(s, d, 40000 + i, 50060), 500_000_000_000),
+                path,
+            );
+        }
+        net.recompute();
+        (net, cbrs)
+    };
+    let (mut net, cbrs) = loaded_net(false);
     for round in 0..50 {
         net_cycle(&mut net, &cbrs, round); // warm every internal buffer
     }
@@ -147,7 +181,33 @@ fn hot_loops_allocation_budget() {
         "FlowNet advance/mutate/recompute cycle allocated in steady state"
     );
 
-    // ---- 1b. NetFlow probe steady state: zero allocations. -------------
+    // ---- 1b. Relaxed-mode FlowNet steady state: zero allocations. ------
+    // Same load on the relaxed solver; trunk 0 cycles its capacity so the
+    // completion heap inserts, moves and removes entries every round.
+    {
+        let (mut relaxed, cbrs) = loaded_net(true);
+        let trunk = topo.find_link(mr.tors[0], mr.tors[1], 0).unwrap();
+        let full_bps = topo.link(trunk).capacity_bps;
+        for round in 0..60 {
+            relaxed_cycle(&mut relaxed, &cbrs, trunk, full_bps, round);
+        }
+        let pushes = relaxed.stats().heap_pushes;
+        let before = allocs();
+        for round in 60..180 {
+            relaxed_cycle(&mut relaxed, &cbrs, trunk, full_bps, round);
+        }
+        assert_eq!(
+            allocs() - before,
+            0,
+            "relaxed FlowNet advance/mutate/recompute cycle allocated in steady state"
+        );
+        assert!(
+            relaxed.stats().heap_pushes > pushes,
+            "the relaxed cycle must write completion projections"
+        );
+    }
+
+    // ---- 1c. NetFlow probe steady state: zero allocations. -------------
     // Pre-sized curves (the engine reserves from the scenario's fetch
     // count at construction) must absorb periodic and per-completion
     // samples without ever growing.
@@ -171,8 +231,17 @@ fn hot_loops_allocation_budget() {
         "pre-sized NetFlowProbe sampling allocated in steady state"
     );
 
-    // ---- 1c. EventQueue steady state: zero allocations. ----------------
+    // ---- 1d. EventQueue steady state: zero allocations. ----------------
     let mut q: EventQueue<u32> = EventQueue::new();
+    // Fill to twice the cycle's 32-event peak once. The live-id map then
+    // has the capacity at which clearing the tombstones that insert/remove
+    // churn leaves always rehashes in place. Without this, its last
+    // regrowth lands at a cycle that depends on the per-process random
+    // hash keys, sometimes inside the measured window.
+    for i in 0..64 {
+        q.push(SimTime::from_millis(i), 0);
+    }
+    while q.pop().is_some() {}
     for i in 0..200 {
         queue_cycle(&mut q, i * 100);
     }
@@ -190,8 +259,9 @@ fn hot_loops_allocation_budget() {
     // A full run still allocates for real state growth (new flows' paths,
     // curve points, trace records, rule installs), but the per-event
     // average must stay small and flat: an O(all flows) temporary per
-    // dispatch would blow this budget immediately.
-    let cfg = ScenarioConfig::default()
+    // dispatch would blow this budget immediately. One solver worker
+    // keeps every allocation on this thread, where the counter sees it.
+    let mut cfg = ScenarioConfig::default()
         .with_topology(FatTreeParams {
             k: 4,
             ..FatTreeParams::default()
@@ -199,6 +269,7 @@ fn hot_loops_allocation_budget() {
         .with_scheduler(SchedulerKind::Pythia)
         .with_oversubscription(10)
         .with_seed(5);
+    cfg.solver_workers = 1;
     let before = allocs();
     let report = run_scenario(job(24, 6), &cfg);
     let spent = allocs() - before;

@@ -43,6 +43,7 @@
 //! ```
 
 pub mod background;
+mod completion;
 pub mod fairshare;
 pub mod flow;
 pub mod net;

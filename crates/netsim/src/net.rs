@@ -23,10 +23,11 @@
 //! builds every recompute is cross-checked against the retained reference
 //! allocator ([`max_min_fair`]).
 //!
-//! Completion lookup is indexed: a lazy-deletion binary heap keyed by
-//! projected completion time holds one entry per (flow, rate-change), and
-//! entries are invalidated by a per-flow rate epoch. [`FlowNet::advance_to`]
-//! touches only *metered* flows with a nonzero allocated rate (see
+//! Completion lookup is indexed: an indexed binary min-heap keyed by
+//! projected completion time holds at most one entry per flow, moved in
+//! place when the flow's rate changes and removed when it completes,
+//! leaves, or stops progressing. [`FlowNet::advance_to`] touches only
+//! *metered* flows with a nonzero allocated rate (see
 //! [`FlowNet::meter_sources_only`]).
 //!
 //! # Layered CBR solve
@@ -64,12 +65,12 @@
 //! tolerance (see `examples/refcheck.rs --tolerance`), not byte for
 //! byte; with the mode off, the exact path is untouched.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 use pythia_des::{SimDuration, SimTime};
 use pythia_snapshot::{Persist, SectionReader, SectionWriter, SnapshotError};
 
+use crate::completion::{CompletionHeap, Projection};
 use crate::fairshare::{max_min_fair, Allocation, FairShareWorkspace, FlowPath, CBR_SHARE_LIMIT};
 use crate::flow::{FlowId, FlowKind, FlowSpec};
 use crate::routing::Path;
@@ -130,8 +131,8 @@ struct FlowSlot {
     /// Whether this flow's byte counters are observable (bounded, or
     /// sourced at a metered node). Unmetered flows are never integrated.
     metered: bool,
-    /// Bumped whenever `rate_bps` changes; completion-heap entries carry
-    /// the epoch they were projected under and die with it.
+    /// Bumped whenever `rate_bps` changes; the flow's completion-heap
+    /// entry carries the epoch it was projected under.
     rate_epoch: u64,
     /// Relaxed mode: the instant `remaining`/`transferred` were last
     /// folded to; the flow's rate has been constant since. Unused (and
@@ -317,9 +318,11 @@ pub struct NetStats {
     pub region_flows: u64,
     /// Flow integrations performed across all `advance_to` calls.
     pub advance_flow_steps: u64,
-    /// Completion-heap entries pushed.
+    /// Completion projections written to the heap (inserted or moved).
     pub heap_pushes: u64,
-    /// Eager completion-heap compactions.
+    /// Always 0: the indexed completion heap holds only live entries and
+    /// never compacts. Kept so snapshots and trace counters keep their
+    /// layout.
     pub heap_compactions: u64,
     /// CBR flow rate refreshes performed by the layered background pass.
     pub cbr_flow_updates: u64,
@@ -390,9 +393,12 @@ pub struct FlowNet {
     region_slots: Vec<u32>,
 
     // --- completion tracking ---
-    /// Lazy-deletion min-heap of projected completions:
-    /// `(time, flow id, rate_epoch at projection)`.
-    heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+    /// Indexed min-heap of projected completions, at most one per slot:
+    /// `(time, flow id, rate_epoch at projection)`, ordered by time then
+    /// flow id. Holds exactly the live projections — a bounded flow with
+    /// bytes left and a nonzero rate, or a relaxed-mode flow drained
+    /// at a fold and awaiting its reaping advance.
+    heap: CompletionHeap,
     /// Metered slots with a nonzero allocated rate — the only flows
     /// [`FlowNet::advance_to`] must integrate.
     active: Vec<u32>,
@@ -472,7 +478,7 @@ impl FlowNet {
             link_local: vec![NONE_U32; n_links],
             region_links: Vec::new(),
             region_slots: Vec::new(),
-            heap: BinaryHeap::new(),
+            heap: CompletionHeap::new(),
             active: Vec::new(),
             advance_completed_slots: Vec::new(),
             advance_completed: Vec::new(),
@@ -663,17 +669,17 @@ impl FlowNet {
         let st = self.slots[slot as usize].as_mut().expect("live slot");
         st.flow.rate_bps = rate;
         st.rate_epoch += 1;
-        let entry = match st.flow.remaining_bytes {
+        let done_at = match st.flow.remaining_bytes {
             Some(rem) if rem > 0.0 && rate > 0.0 => {
                 // Saturating: a provisional admission onto a degraded
                 // (1 bps) link projects past the representable horizon.
                 let d = SimDuration::for_bytes_at_rate(rem.ceil() as u64, rate);
-                Some((now.saturating_add(d), st.id.0, st.rate_epoch))
+                Some(now.saturating_add(d))
             }
             Some(rem) if rem <= 0.0 => {
                 // Drained at the fold (ceil projections run a hair long):
                 // leave an immediate entry so the next advance reaps it.
-                Some((now, st.id.0, st.rate_epoch))
+                Some(now)
             }
             _ => None,
         };
@@ -682,9 +688,27 @@ impl FlowNet {
         } else {
             self.deactivate(slot);
         }
-        if let Some(e) = entry {
-            self.stats.heap_pushes += 1;
-            self.heap.push(Reverse(e));
+        self.project(slot, done_at);
+    }
+
+    /// Write `slot`'s completion projection under its current rate epoch
+    /// (moving its heap entry in place), or drop the entry when the flow
+    /// no longer projects a completion.
+    fn project(&mut self, slot: u32, done_at: Option<SimTime>) {
+        match done_at {
+            Some(t) => {
+                let st = self.slot(slot);
+                let p = Projection {
+                    t,
+                    id: st.id.0,
+                    epoch: st.rate_epoch,
+                };
+                self.stats.heap_pushes += 1;
+                self.heap.set(slot, p);
+            }
+            None => {
+                self.heap.remove(slot);
+            }
         }
     }
 
@@ -695,25 +719,15 @@ impl FlowNet {
         let mut completed_slots = std::mem::take(&mut self.advance_completed_slots);
         completed_slots.clear();
         self.now = t;
-        while let Some(&Reverse((pt, id, fe))) = self.heap.peek() {
-            if pt > t {
+        while let Some((slot, p)) = self.heap.peek() {
+            if p.t > t {
                 break;
             }
-            self.heap.pop();
-            let Some(&slot) = self.index.get(&FlowId(id)) else {
-                continue;
-            };
-            let (valid, src, metered) = {
+            self.heap.remove(slot);
+            let (src, metered) = {
                 let st = self.slot(slot);
-                (
-                    st.rate_epoch == fe,
-                    st.flow.spec.tuple.src.0 as usize,
-                    st.metered,
-                )
+                (st.flow.spec.tuple.src.0 as usize, st.metered)
             };
-            if !valid {
-                continue;
-            }
             self.stats.advance_flow_steps += 1;
             if metered {
                 self.fold_node(src, t);
@@ -726,8 +740,7 @@ impl FlowNet {
                     // Undershoot: the ceil projection rounded long and an
                     // earlier advance folded past part of the interval.
                     let d = SimDuration::for_bytes_at_rate(rem.ceil() as u64, st.flow.rate_bps);
-                    self.stats.heap_pushes += 1;
-                    self.heap.push(Reverse((t.saturating_add(d), id, fe)));
+                    self.project(slot, Some(t.saturating_add(d)));
                 }
                 _ => {}
             }
@@ -847,6 +860,7 @@ impl FlowNet {
         self.mark_flow_links_dirty(slot);
         self.unlink_flow(slot);
         self.deactivate(slot);
+        self.heap.remove(slot);
         let st = self.slot_mut(slot);
         st.flow.rate_bps = 0.0;
         st.rate_epoch += 1;
@@ -1037,6 +1051,7 @@ impl FlowNet {
             self.unlink_flow(slot);
         }
         self.deactivate(slot);
+        self.heap.remove(slot);
         let st = self.slots[slot as usize].take().expect("live slot");
         self.free_slots.push(slot);
         self.rates_dirty = true;
@@ -1129,7 +1144,7 @@ impl FlowNet {
                 continue;
             }
             let st = self.slots[slot as usize].as_mut().expect("live slot");
-            let entry = if rate == st.flow.rate_bps {
+            let done_at = if rate == st.flow.rate_bps {
                 None
             } else {
                 st.flow.rate_bps = rate;
@@ -1137,21 +1152,18 @@ impl FlowNet {
                 match st.flow.remaining_bytes {
                     Some(rem) if rem > 0.0 && rate > 0.0 => {
                         let d = SimDuration::for_bytes_at_rate(rem.ceil() as u64, rate);
-                        Some(Some((now + d, st.id.0, st.rate_epoch)))
+                        Some(Some(now + d))
                     }
                     _ => Some(None),
                 }
             };
-            if let Some(entry) = entry {
+            if let Some(done_at) = done_at {
                 if rate > 0.0 {
                     self.activate(slot);
                 } else {
                     self.deactivate(slot);
                 }
-                if let Some(e) = entry {
-                    self.stats.heap_pushes += 1;
-                    self.heap.push(Reverse(e));
-                }
+                self.project(slot, done_at);
             }
         }
         let mut touched = touched;
@@ -1255,12 +1267,12 @@ impl FlowNet {
         for fi in 0..self.region_slots.len() {
             let slot = self.region_slots[fi];
             let rate = self.ws.rate_bps(fi);
-            let entry = {
+            let done_at = {
                 let st = self.slots[slot as usize].as_mut().expect("live slot");
                 debug_assert!(st.linked && !st.flow.is_complete());
                 if rate == st.flow.rate_bps {
-                    // Unchanged: existing heap entries and active-set
-                    // membership remain valid.
+                    // Unchanged: the heap entry and active-set membership
+                    // remain valid.
                     None
                 } else {
                     st.flow.rate_bps = rate;
@@ -1268,22 +1280,19 @@ impl FlowNet {
                     match st.flow.remaining_bytes {
                         Some(rem) if rem > 0.0 && rate > 0.0 => {
                             let d = SimDuration::for_bytes_at_rate(rem.ceil() as u64, rate);
-                            Some(Some((now + d, st.id.0, st.rate_epoch)))
+                            Some(Some(now + d))
                         }
                         _ => Some(None),
                     }
                 }
             };
-            if let Some(entry) = entry {
+            if let Some(done_at) = done_at {
                 if rate > 0.0 {
                     self.activate(slot);
                 } else {
                     self.deactivate(slot);
                 }
-                if let Some(e) = entry {
-                    self.stats.heap_pushes += 1;
-                    self.heap.push(Reverse(e));
-                }
+                self.project(slot, done_at);
             }
         }
         for (li, &l) in self.region_links.iter().enumerate() {
@@ -1299,7 +1308,10 @@ impl FlowNet {
         }
 
         #[cfg(debug_assertions)]
-        self.assert_matches_reference();
+        {
+            self.assert_matches_reference();
+            self.assert_heap_consistent();
+        }
     }
 
     /// Relaxed-mode recompute: split the dirty set into its connected
@@ -1411,19 +1423,21 @@ impl FlowNet {
         // --- Canonical write-back: flow-id order, independent of both
         // component discovery order and worker layout (the node rate sums
         // are floating-point accumulations, so the fold order must be
-        // pinned for run-to-run determinism).
+        // pinned for run-to-run determinism). Only flows whose rate moved
+        // are written, so only they are sorted: applying one flow's rate
+        // never changes another's, so the filter commutes with the order.
         self.canon.clear();
         for (fi, &slot) in self.region_slots.iter().enumerate() {
-            self.canon.push((self.slot(slot).id.0, fi as u32));
+            let st = self.slot(slot);
+            if self.rates_scratch[fi] != st.flow.rate_bps {
+                self.canon.push((st.id.0, fi as u32));
+            }
         }
         self.canon.sort_unstable();
         let canon = std::mem::take(&mut self.canon);
         for &(_, fi) in &canon {
             let slot = self.region_slots[fi as usize];
-            let rate = self.rates_scratch[fi as usize];
-            if rate != self.slot(slot).flow.rate_bps {
-                self.relaxed_apply_rate(slot, rate);
-            }
+            self.relaxed_apply_rate(slot, self.rates_scratch[fi as usize]);
         }
         self.canon = canon;
         for (li, &l) in self.region_links.iter().enumerate() {
@@ -1439,7 +1453,10 @@ impl FlowNet {
         }
 
         #[cfg(debug_assertions)]
-        self.assert_matches_reference();
+        {
+            self.assert_matches_reference();
+            self.assert_heap_consistent();
+        }
     }
 
     /// Solve the discovered components on scoped worker threads: a greedy
@@ -1525,6 +1542,14 @@ impl FlowNet {
         rates_out: &mut [f64],
         loads_out: &mut [f64],
     ) {
+        if slots.is_empty() {
+            // A dirty link no flow crosses: a solve would return exactly
+            // its pre-committed CBR load.
+            for (ld, &l) in loads_out.iter_mut().zip(links) {
+                *ld = inp.cbr_load_bps[l as usize];
+            }
+            return;
+        }
         ws.begin(links.len());
         for (li, &l) in links.iter().enumerate() {
             ws.set_link(li, inp.topo.link(LinkId(l)).capacity_bps, 0.0);
@@ -1559,8 +1584,9 @@ impl FlowNet {
 
     /// Earliest projected completion among bounded, progressing flows.
     ///
-    /// Pops dead heap entries (rate changed, flow completed or removed)
-    /// lazily; takes `&mut self` for exactly that reason.
+    /// A peek at the completion heap, except that a projection which is
+    /// no longer in the future is re-projected in place first; takes
+    /// `&mut self` for exactly that reason.
     ///
     /// # Panics
     /// Panics if rates are stale (exact mode; relaxed projections are
@@ -1570,25 +1596,8 @@ impl FlowNet {
             return self.next_completion_relaxed();
         }
         assert!(!self.rates_dirty, "next_completion with stale rates");
-        if self.heap.len() > 64 && self.heap.len() > 4 * self.index.len() {
-            self.compact_heap();
-        }
-        while let Some(&Reverse((t, id, fe))) = self.heap.peek() {
-            let fid = FlowId(id);
-            let proj = self.index.get(&fid).and_then(|&slot| {
-                let st = self.slots[slot as usize].as_ref().expect("live slot");
-                match st.flow.remaining_bytes {
-                    Some(rem) if rem > 0.0 && st.flow.rate_bps > 0.0 && st.rate_epoch == fe => {
-                        Some((rem, st.flow.rate_bps))
-                    }
-                    _ => None,
-                }
-            });
-            let Some((rem, rate)) = proj else {
-                self.heap.pop();
-                continue;
-            };
-            if t <= self.now {
+        while let Some((slot, p)) = self.heap.peek() {
+            if p.t <= self.now {
                 // The projection is not in the future, yet the flow still
                 // has bytes left — byte-ceil rounding drifted across an
                 // advance at an unchanged rate. Re-project from the current
@@ -1596,12 +1605,19 @@ impl FlowNet {
                 // nonzero byte count never rounds to a zero duration), so
                 // drivers that advance to the returned time always make
                 // progress.
-                self.heap.pop();
-                let d = SimDuration::for_bytes_at_rate(rem.ceil() as u64, rate);
-                self.heap.push(Reverse((self.now + d, id, fe)));
+                let f = &self.slot(slot).flow;
+                let rem = f.remaining_bytes.expect("projected flow is bounded");
+                let d = SimDuration::for_bytes_at_rate(rem.ceil() as u64, f.rate_bps);
+                self.heap.set(
+                    slot,
+                    Projection {
+                        t: self.now + d,
+                        ..p
+                    },
+                );
                 continue;
             }
-            return Some((t, fid));
+            return Some((p.t, FlowId(p.id)));
         }
         None
     }
@@ -1611,38 +1627,21 @@ impl FlowNet {
     /// on its next advance), and stale byte-ceil projections fold the flow
     /// before re-projecting.
     fn next_completion_relaxed(&mut self) -> Option<(SimTime, FlowId)> {
-        if self.heap.len() > 64 && self.heap.len() > 4 * self.index.len() {
-            self.compact_heap();
-        }
-        while let Some(&Reverse((t, id, fe))) = self.heap.peek() {
-            let fid = FlowId(id);
-            let Some(&slot) = self.index.get(&fid) else {
-                self.heap.pop();
-                continue;
-            };
-            let (epoch_ok, rem, rate, src, metered) = {
+        while let Some((slot, p)) = self.heap.peek() {
+            let fid = FlowId(p.id);
+            let (rem, rate, src, metered) = {
                 let st = self.slot(slot);
                 (
-                    st.rate_epoch == fe,
-                    st.flow.remaining_bytes,
+                    st.flow.remaining_bytes.expect("projected flow is bounded"),
                     st.flow.rate_bps,
                     st.flow.spec.tuple.src.0 as usize,
                     st.metered,
                 )
             };
-            let Some(rem) = rem.filter(|_| epoch_ok) else {
-                self.heap.pop();
-                continue;
-            };
             if rem <= 0.0 {
-                return Some((t.max(self.now), fid));
+                return Some((p.t.max(self.now), fid));
             }
-            if rate <= 0.0 {
-                self.heap.pop();
-                continue;
-            }
-            if t <= self.now {
-                self.heap.pop();
+            if p.t <= self.now {
                 if metered {
                     self.fold_node(src, self.now);
                 }
@@ -1652,38 +1651,17 @@ impl FlowNet {
                     .flow
                     .remaining_bytes
                     .expect("bounded flow stays bounded");
-                self.stats.heap_pushes += 1;
                 if rem <= 0.0 {
-                    self.heap.push(Reverse((self.now, id, fe)));
+                    self.project(slot, Some(self.now));
                     return Some((self.now, fid));
                 }
                 let d = SimDuration::for_bytes_at_rate(rem.ceil() as u64, rate);
-                self.heap
-                    .push(Reverse((self.now.saturating_add(d), id, fe)));
+                self.project(slot, Some(self.now.saturating_add(d)));
                 continue;
             }
-            return Some((t, fid));
+            return Some((p.t, fid));
         }
         None
-    }
-
-    /// Drop dead heap entries eagerly; keeps the heap O(live flows).
-    fn compact_heap(&mut self) {
-        self.stats.heap_compactions += 1;
-        let mut entries = std::mem::take(&mut self.heap).into_vec();
-        entries.retain(|&Reverse((_, id, fe))| {
-            self.index
-                .get(&FlowId(id))
-                .map(|&slot| {
-                    self.slots[slot as usize]
-                        .as_ref()
-                        .expect("live slot")
-                        .rate_epoch
-                        == fe
-                })
-                .unwrap_or(false)
-        });
-        self.heap = BinaryHeap::from(entries);
     }
 
     /// Committed rate on `link` (bits/sec) as of the last recompute.
@@ -1843,9 +1821,11 @@ impl FlowNet {
     /// incrementally maintained accumulations, so re-deriving them would
     /// change bits — and everything order-sensitive keeps its exact order:
     /// per-link incidence lists (region discovery order), the `active`
-    /// hot set (exact-mode integration order), the free-slot stack
-    /// (future slot assignment), and the completion heap as a full
-    /// multiset *including dead entries* (its length gates compaction).
+    /// hot set (exact-mode integration order) and the free-slot stack
+    /// (future slot assignment). The completion heap holds only live
+    /// projections, one per flow, and is written as those projections
+    /// sorted by `(time, flow id)`: its pop order depends on nothing else,
+    /// so its array layout need not survive.
     ///
     /// # Panics
     /// Panics if rates are stale — checkpoint only a solved network.
@@ -1902,7 +1882,11 @@ impl FlowNet {
                 }
             }
         }
-        let mut heap: Vec<(SimTime, u64, u64)> = self.heap.iter().map(|&Reverse(e)| e).collect();
+        let mut heap: Vec<(SimTime, u64, u64)> = self
+            .heap
+            .iter()
+            .map(|(_, p)| (p.t, p.id, p.epoch))
+            .collect();
         heap.sort_unstable();
         heap.put(w);
         self.active.put(w);
@@ -2091,8 +2075,37 @@ impl FlowNet {
                 }
             }
         }
-        let heap = Vec::<(SimTime, u64, u64)>::get(r)?;
-        net.heap = heap.into_iter().map(Reverse).collect();
+        for (t, id, epoch) in Vec::<(SimTime, u64, u64)>::get(r)? {
+            let &slot = net
+                .index
+                .get(&FlowId(id))
+                .ok_or_else(|| r.malformed(format!("completion entry for missing flow {id}")))?;
+            let st = net.slot(slot);
+            if st.rate_epoch != epoch {
+                return Err(r.malformed(format!(
+                    "completion entry for flow {id} has stale epoch {epoch} (flow at {})",
+                    st.rate_epoch
+                )));
+            }
+            if !net.projects_completion(st) {
+                return Err(r.malformed(format!(
+                    "completion entry for flow {id}, which projects no completion"
+                )));
+            }
+            if net.heap.get(slot).is_some() {
+                return Err(r.malformed(format!("duplicate completion entry for flow {id}")));
+            }
+            net.heap.set(slot, Projection { t, id, epoch });
+        }
+        let projecting = net
+            .slots
+            .iter()
+            .flatten()
+            .filter(|st| net.projects_completion(st))
+            .count();
+        if projecting != net.heap.len() {
+            return Err(r.malformed("projecting flow missing its completion entry"));
+        }
         let active = Vec::<u32>::get(r)?;
         for (i, &s) in active.iter().enumerate() {
             let st = net
@@ -2112,6 +2125,52 @@ impl FlowNet {
     }
 
     // --- reference cross-check ------------------------------------------
+
+    /// Whether the flow must hold a completion-heap entry: bounded with
+    /// bytes left and a nonzero rate, or (relaxed mode) drained at a fold
+    /// and still linked, awaiting the advance that reaps it.
+    fn projects_completion(&self, st: &FlowSlot) -> bool {
+        match st.flow.remaining_bytes {
+            Some(rem) if rem > 0.0 => st.flow.rate_bps > 0.0,
+            Some(_) => self.relaxed && st.linked,
+            None => false,
+        }
+    }
+
+    /// Assert that the completion heap holds exactly one entry per live
+    /// projecting flow, under the flow's id and current rate epoch, with
+    /// a consistent position index and valid heap order. Runs after every
+    /// recompute in debug builds.
+    #[cfg(debug_assertions)]
+    fn assert_heap_consistent(&self) {
+        self.heap.assert_consistent();
+        for (slot, p) in self.heap.iter() {
+            let st = self.slots[slot as usize]
+                .as_ref()
+                .unwrap_or_else(|| panic!("completion entry {p:?} on free slot {slot}"));
+            assert_eq!(
+                st.id.0, p.id,
+                "completion entry on slot {slot} names another flow"
+            );
+            assert_eq!(
+                st.rate_epoch, p.epoch,
+                "flow {} completion entry has a stale epoch",
+                st.id
+            );
+        }
+        for (s, st) in self.slots.iter().enumerate() {
+            let Some(st) = st else { continue };
+            assert_eq!(
+                self.heap.get(s as u32).is_some(),
+                self.projects_completion(st),
+                "flow {} (rate {}, remaining {:?}, linked {}): completion entry mismatch",
+                st.id,
+                st.flow.rate_bps,
+                st.flow.remaining_bytes,
+                st.linked
+            );
+        }
+    }
 
     /// Solve the whole network with the retained reference allocator
     /// ([`max_min_fair`]), exactly as the pre-incremental engine did on
@@ -2644,6 +2703,46 @@ mod tests {
             Ok(_) => panic!("restore against wrong topology must fail"),
         };
         assert!(matches!(err, SnapshotError::Malformed { .. }), "{err}");
+
+        // Damaged completion entries. The heap is the third-to-last field
+        // (before `active` and the stats), so splice a replacement heap
+        // into an otherwise intact section.
+        let (p, id) = {
+            let (_, p) = net.heap.peek().expect("one projected flow");
+            ((p.t, p.id, p.epoch), p.id)
+        };
+        let with_heap = |heap: Vec<(SimTime, u64, u64)>| {
+            let mut sec = Reader::new(&good).unwrap().section("net").unwrap();
+            let tail = (8 + 24 * net.heap.len()) + (8 + 4 * net.active.len()) + 8 * 8;
+            let head = sec.take_raw(sec.remaining() - tail).unwrap().to_vec();
+            let mut w = Writer::new();
+            w.section("net", |s| {
+                s.put_raw(&head);
+                s.put(&heap);
+                s.put(&net.active);
+                s.put(&net.stats);
+            });
+            w.finish()
+        };
+        // The splice itself is faithful.
+        assert_eq!(with_heap(vec![p]), good);
+        for (want, heap) in [
+            ("missing flow", vec![(p.0, id + 1000, p.2)]),
+            ("stale epoch", vec![(p.0, id, p.2 + 1)]),
+            (
+                "duplicate",
+                vec![p, (p.0 + SimDuration::from_secs(1), id, p.2)],
+            ),
+            ("missing its completion entry", vec![]),
+        ] {
+            let bytes = with_heap(heap);
+            let mut sec = Reader::new(&bytes).unwrap().section("net").unwrap();
+            match FlowNet::get_state(mr.topology.clone(), &mut sec) {
+                Err(SnapshotError::Malformed { detail, .. }) if detail.contains(want) => {}
+                Err(e) => panic!("{want}: wanted Malformed naming it, got {e}"),
+                Ok(_) => panic!("{want}: corrupt completion heap restored"),
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod shell;
 
 /// Current on-disk snapshot format version. Bump on any layout change;
 /// readers reject other versions with [`SnapshotError::Version`].
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 4] = b"PYSN";
 
