@@ -1,17 +1,16 @@
 //! Microbenchmarks of the network substrate: max-min fair allocation at
 //! various flow counts, FlowNet event-loop primitives, topology builds.
 //!
-//! The `fairshare` group compares the retained reference allocator
+//! The `fairshare` group times the retained reference allocator
 //! (`max_min_fair`, what the engine ran on every recompute before the
-//! incremental rate engine) against the allocation-free
-//! `FairShareWorkspace` on identical problems. The `flownet` group
-//! measures the engine-facing costs: steady-state recompute, forced full
-//! recompute, and the single-departure perturbation that dominates real
-//! shuffle simulations.
+//! incremental rate engine). The `flownet` group measures the
+//! engine-facing costs: steady-state recompute, forced full recompute,
+//! and single-departure perturbations, both in a fabric of tiny
+//! components and in one dense component of ~2,400 flows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pythia_des::SimTime;
-use pythia_netsim::fairshare::{max_min_fair, FairShareWorkspace, FlowPath};
+use pythia_netsim::fairshare::{max_min_fair, FlowPath};
 use pythia_netsim::{build_multi_rack, FiveTuple, FlowNet, FlowSpec, MultiRackParams, Path};
 
 fn fairshare_scaling(c: &mut Criterion) {
@@ -33,22 +32,6 @@ fn fairshare_scaling(c: &mut Criterion) {
             .collect();
         g.bench_with_input(BenchmarkId::new("max_min_fair", n_flows), &flows, |b, f| {
             b.iter(|| max_min_fair(&caps, f))
-        });
-        // Same problem through the reusable workspace (restaged each
-        // iteration, as FlowNet does per recompute).
-        g.bench_with_input(BenchmarkId::new("workspace", n_flows), &flows, |b, f| {
-            let mut ws = FairShareWorkspace::new();
-            b.iter(|| {
-                ws.begin(caps.len());
-                for (l, &cap) in caps.iter().enumerate() {
-                    ws.set_link(l, cap, 0.0);
-                }
-                for fp in f.iter() {
-                    ws.add_flow(fp.links.iter().map(|&l| l as u32), fp.cbr_rate_bps);
-                }
-                ws.solve();
-                ws.rate_bps(0)
-            })
         });
     }
     g.finish();
@@ -108,10 +91,60 @@ fn flownet_ops(c: &mut Criterion) {
         let net = hundred_flows();
         b.iter(|| net.reference_allocation())
     });
-    // Forced global solve through the workspace path (region = world).
+    // Forced global solve through the in-place solver (region = world).
     g.bench_function("full_recompute_100_flows", |b| {
         let mut net = hundred_flows();
         b.iter(|| net.full_recompute())
+    });
+    g.finish();
+}
+
+/// The dense shape of a busy fleet: 2,400 cross-rack flows over 64
+/// servers in 4 racks (152 links), all in one sharing component, so one
+/// departure re-solves every flow.
+fn flownet_dense_departure(c: &mut Criterion) {
+    const N: usize = 2_400;
+    let mr = build_multi_rack(&MultiRackParams {
+        racks: 4,
+        servers_per_rack: 16,
+        nic_bps: 10e9,
+        trunk_count: 2,
+        trunk_bps: 40e9,
+    });
+    let topo = &mr.topology;
+    let start_one = |net: &mut FlowNet, i: usize, port: u16| {
+        let s = i % 64;
+        let (sr, dr) = (s / 16, (s / 16 + 1 + (i / 64) % 3) % 4);
+        let d = dr * 16 + (i * 13) % 16;
+        let up = topo.find_link(mr.servers[s], mr.tors[sr], 0).unwrap();
+        let tr = topo
+            .find_link(mr.tors[sr], mr.tors[dr], (i / 192) % 2)
+            .unwrap();
+        let down = topo.find_link(mr.tors[dr], mr.servers[d], 0).unwrap();
+        let t = FiveTuple::tcp(mr.servers[s], mr.servers[d], port, 50060);
+        net.start_flow(
+            FlowSpec::tcp_transfer(t, 1_000_000_000_000),
+            Path::new(topo, vec![up, tr, down]).unwrap(),
+        )
+    };
+    let mut net = FlowNet::new(topo.clone());
+    for i in 0..N - 1 {
+        start_one(&mut net, i, 40000 + (i / 64) as u16);
+    }
+    let mut victim = start_one(&mut net, N - 1, 50000);
+    net.recompute();
+
+    let mut g = c.benchmark_group("flownet");
+    g.sample_size(20);
+    // One flow leaves and the component is re-solved; an identical flow
+    // takes its place (so the network is invariant across iterations).
+    g.bench_function("departure_recompute_dense_2400_flows", |b| {
+        b.iter(|| {
+            net.remove_flow(victim);
+            net.recompute();
+            victim = start_one(&mut net, N - 1, 50000);
+            net.recompute();
+        })
     });
     g.finish();
 }
@@ -184,6 +217,7 @@ criterion_group!(
     benches,
     fairshare_scaling,
     flownet_ops,
+    flownet_dense_departure,
     flownet_departure,
     topology_build
 );

@@ -19,9 +19,10 @@
 //! a component depend only on that component's flows and links, so flows in
 //! untouched components keep their rates verbatim. A single flow departing
 //! from an isolated rack therefore costs `O(component)`, not `O(network)`.
-//! [`FlowNet::full_recompute`] forces the global problem, and in debug
-//! builds every recompute is cross-checked against the retained reference
-//! allocator ([`max_min_fair`]).
+//! The filling runs in place on the live flow–link incidence lists, with
+//! nothing staged per solve. [`FlowNet::full_recompute`] forces the global
+//! problem, and in debug builds every recompute is cross-checked against
+//! the retained reference allocator ([`max_min_fair`]).
 //!
 //! Completion lookup is indexed: an indexed binary min-heap keyed by
 //! projected completion time holds at most one entry per flow, moved in
@@ -71,7 +72,7 @@ use pythia_des::{SimDuration, SimTime};
 use pythia_snapshot::{Persist, SectionReader, SectionWriter, SnapshotError};
 
 use crate::completion::{CompletionHeap, Projection};
-use crate::fairshare::{max_min_fair, Allocation, FairShareWorkspace, FlowPath, CBR_SHARE_LIMIT};
+use crate::fairshare::{max_min_fair, Allocation, FlowPath, CBR_SHARE_LIMIT};
 use crate::flow::{FlowId, FlowKind, FlowSpec};
 use crate::routing::Path;
 use crate::topology::{LinkId, NodeId, Topology};
@@ -227,8 +228,8 @@ impl LinkLists {
 }
 
 /// Per-slot interned path links and incidence positions, packed into one
-/// arena (same rationale as [`LinkLists`]: region discovery and solve
-/// staging walk a flow's links for every region flow, and per-slot heap
+/// arena (same rationale as [`LinkLists`]: region discovery and the
+/// solve walk a flow's links for every region flow, and per-slot heap
 /// `Vec`s made each walk a cache miss into the large `FlowSlot`).
 ///
 /// `links[off[s]..off[s]+len[s]]` are slot `s`'s interned link indices in
@@ -326,8 +327,12 @@ pub struct NetStats {
     pub heap_compactions: u64,
     /// CBR flow rate refreshes performed by the layered background pass.
     pub cbr_flow_updates: u64,
-    /// Connected components solved, summed over all recomputes
-    /// (relaxed-order mode; the exact path solves one joint region).
+    /// Progressive-filling solves run, summed over all recomputes: one
+    /// per connected component that carries adaptive flows in
+    /// relaxed-order mode, one per such region in exact mode (it solves
+    /// its region jointly). A component no adaptive flow crosses (a dirty
+    /// link carrying only CBR traffic, or nothing) runs no filling round —
+    /// its load is the CBR layer's — and is not counted.
     pub components: u64,
 }
 
@@ -366,7 +371,9 @@ pub struct FlowNet {
     /// Aggregate requested CBR rate per link, maintained incrementally so
     /// background-traffic redraws never re-derive it from the flow set.
     cbr_requested_bps: Vec<f64>,
-    ws: FairShareWorkspace,
+    /// Progressive-filling state, one per solver thread (entry 0 serves
+    /// every sequential solve).
+    fill: Vec<FillState>,
 
     // --- layered CBR (background) solve ---
     /// Links whose CBR inputs (capacity or requested aggregate) changed.
@@ -387,8 +394,9 @@ pub struct FlowNet {
     metered_nodes: Option<Vec<bool>>,
     // Region-discovery scratch (cleared after each recompute).
     link_in_region: Vec<bool>,
-    flow_in_region: Vec<bool>,
-    link_local: Vec<u32>,
+    /// Per slot: its index in `region_slots`, or `NONE_U32` outside the
+    /// region being solved.
+    region_pos: Vec<u32>,
     region_links: Vec<u32>,
     region_slots: Vec<u32>,
 
@@ -412,8 +420,6 @@ pub struct FlowNet {
     relaxed: bool,
     /// Worker threads for component solves (≥ 1; 1 ⇒ always sequential).
     solver_workers: usize,
-    /// Per-worker solve workspaces, kept across recomputes.
-    worker_ws: Vec<FairShareWorkspace>,
     /// Per-node lazy rate sum of metered flows sourced there (bits/sec).
     /// `cum_tx_bytes[n]` holds the *committed* bytes as of `node_since[n]`;
     /// the live counter is `committed + rate_sum · (now − since) / 8`.
@@ -429,13 +435,39 @@ pub struct FlowNet {
     loads_scratch: Vec<f64>,
 }
 
-/// Shared read-only inputs of a relaxed-mode component solve.
-struct SolveInputs<'a> {
-    topo: &'a Topology,
-    cbr_load_bps: &'a [f64],
-    slot_hops: &'a SlotHops,
-    link_local: &'a [u32],
+/// Progressive-filling state of one link during a solve.
+#[derive(Clone, Copy, Default)]
+struct LinkFill {
+    /// Capacity not yet committed (bits/sec).
+    residual: f64,
+    /// Equal split `residual / count` as of this round's scan, `∞` once
+    /// no unfrozen flow crosses the link (so the scans skip it).
+    share: f64,
+    /// Committed load: the CBR layer's load plus every frozen flow's rate.
+    load: f64,
+    /// Unfrozen flows crossing the link.
+    count: u32,
 }
+
+/// One solver thread's scratch: a fill state per link of the topology
+/// (only the links being solved are live) and a round's saturated links.
+struct FillState {
+    fill: Vec<LinkFill>,
+    saturated: Vec<u32>,
+}
+
+impl FillState {
+    fn new(n_links: usize) -> Self {
+        FillState {
+            fill: vec![LinkFill::default(); n_links],
+            saturated: Vec::new(),
+        }
+    }
+}
+
+/// Rate of a region flow not yet frozen by the current solve (every
+/// frozen rate is a share, hence `≥ 0`).
+const UNFROZEN: f64 = -1.0;
 
 /// Components smaller than this (in flows, summed over the whole region)
 /// are never worth a thread spawn; solve sequentially.
@@ -463,7 +495,7 @@ impl FlowNet {
             link_cbr_flows: LinkLists::new(n_links),
             slot_hops: SlotHops::new(),
             cbr_requested_bps: vec![0.0; n_links],
-            ws: FairShareWorkspace::new(),
+            fill: vec![FillState::new(n_links)],
             cbr_dirty_links: Vec::new(),
             cbr_link_dirty: vec![false; n_links],
             cbr_scale: vec![1.0; n_links],
@@ -474,8 +506,7 @@ impl FlowNet {
             cbr_load_stale: vec![false; n_links],
             metered_nodes: None,
             link_in_region: vec![false; n_links],
-            flow_in_region: Vec::new(),
-            link_local: vec![NONE_U32; n_links],
+            region_pos: Vec::new(),
             region_links: Vec::new(),
             region_slots: Vec::new(),
             heap: CompletionHeap::new(),
@@ -485,7 +516,6 @@ impl FlowNet {
             stats: NetStats::default(),
             relaxed: false,
             solver_workers: 1,
-            worker_ws: Vec::new(),
             node_rate_bps: vec![0.0; n_nodes],
             node_since: vec![SimTime::ZERO; n_nodes],
             comp_bounds: Vec::new(),
@@ -648,7 +678,7 @@ impl FlowNet {
     /// accumulator) to `now`, set the rate, maintain the node rate sum,
     /// bump the epoch, and (re)project completion. Link loads are *not*
     /// touched — each caller settles them (the solve write-back installs
-    /// workspace loads wholesale; mutators adjust incrementally).
+    /// solved loads wholesale; mutators adjust incrementally).
     fn relaxed_apply_rate(&mut self, slot: u32, rate: f64) {
         let now = self.now;
         let (src, metered, old) = {
@@ -1203,12 +1233,12 @@ impl FlowNet {
         if self.dirty_links.is_empty() {
             return;
         }
-        // --- Region discovery: BFS over the bipartite flow–link sharing
-        // graph, seeded at the dirty links. Any flow crossing a region
-        // link pulls all of its links into the region, so the region is a
-        // union of whole components and can be solved independently.
+        // --- Region discovery: one BFS over the bipartite flow–link
+        // sharing graph, seeded at every dirty link. The region is a union
+        // of whole components and is solved jointly.
         self.region_links.clear();
         self.region_slots.clear();
+        self.comp_bounds.clear();
         for l in self.dirty_links.drain(..) {
             self.link_dirty[l as usize] = false;
             if !self.link_in_region[l as usize] {
@@ -1216,57 +1246,20 @@ impl FlowNet {
                 self.region_links.push(l);
             }
         }
-        let mut qi = 0;
-        while qi < self.region_links.len() {
-            let l = self.region_links[qi] as usize;
-            qi += 1;
-            for ei in 0..self.link_flows.len[l] as usize {
-                // Only adaptive incidence lives here; CBR flows are solved
-                // by the layered background pass and the adaptive region
-                // sees them only as pre-committed link load.
-                let slot = self.link_flows.get(l, ei).slot;
-                if self.flow_in_region[slot as usize] {
-                    continue;
-                }
-                self.flow_in_region[slot as usize] = true;
-                self.region_slots.push(slot);
-                for &l2 in self.slot_hops.links(slot) {
-                    if !self.link_in_region[l2 as usize] {
-                        self.link_in_region[l2 as usize] = true;
-                        self.region_links.push(l2);
-                    }
-                }
-            }
-        }
+        self.expand_region(0);
+        self.comp_bounds.push((
+            self.region_links.len() as u32,
+            self.region_slots.len() as u32,
+        ));
+        self.solve_region();
 
-        self.stats.recomputes += 1;
-        self.stats.region_links += self.region_links.len() as u64;
-        self.stats.region_flows += self.region_slots.len() as u64;
-
-        // --- Solve the region in local index space. Only adaptive flows
-        // are staged; the CBR layer's committed load is pre-committed on
-        // each link, exactly as the joint solve's pass 1 would have left
-        // it.
-        self.ws.begin(self.region_links.len());
-        for (li, &l) in self.region_links.iter().enumerate() {
-            self.link_local[l as usize] = li as u32;
-            self.ws
-                .set_link(li, self.topo.link(LinkId(l)).capacity_bps, 0.0);
-            self.ws.preload_link(li, self.cbr_load_bps[l as usize]);
-        }
-        for &slot in &self.region_slots {
-            debug_assert!(matches!(self.slot(slot).flow.spec.kind, FlowKind::Adaptive));
-            let hops = self.slot_hops.links(slot);
-            self.ws
-                .add_flow(hops.iter().map(|&l| self.link_local[l as usize]), None);
-        }
-        self.ws.solve();
-
-        // --- Write back rates, link loads, and completion projections.
+        // --- Write back rates, link loads, and completion projections,
+        // in discovery order (it fixes the `active` order, which is the
+        // byte-integration order).
         let now = self.now;
         for fi in 0..self.region_slots.len() {
             let slot = self.region_slots[fi];
-            let rate = self.ws.rate_bps(fi);
+            let rate = self.rates_scratch[fi];
             let done_at = {
                 let st = self.slots[slot as usize].as_mut().expect("live slot");
                 debug_assert!(st.linked && !st.flow.is_complete());
@@ -1296,16 +1289,9 @@ impl FlowNet {
             }
         }
         for (li, &l) in self.region_links.iter().enumerate() {
-            self.link_load_bps[l as usize] = self.ws.link_load_bps(li);
+            self.link_load_bps[l as usize] = self.loads_scratch[li];
         }
-
-        // --- Reset region marks for the next recompute.
-        for &l in &self.region_links {
-            self.link_in_region[l as usize] = false;
-        }
-        for &slot in &self.region_slots {
-            self.flow_in_region[slot as usize] = false;
-        }
+        self.clear_region_marks();
 
         #[cfg(debug_assertions)]
         {
@@ -1341,27 +1327,10 @@ impl FlowNet {
             if self.link_in_region[seed as usize] {
                 continue;
             }
-            let mut qi = self.region_links.len();
+            let qi = self.region_links.len();
             self.link_in_region[seed as usize] = true;
             self.region_links.push(seed);
-            while qi < self.region_links.len() {
-                let l = self.region_links[qi] as usize;
-                qi += 1;
-                for ei in 0..self.link_flows.len[l] as usize {
-                    let slot = self.link_flows.get(l, ei).slot;
-                    if self.flow_in_region[slot as usize] {
-                        continue;
-                    }
-                    self.flow_in_region[slot as usize] = true;
-                    self.region_slots.push(slot);
-                    for &l2 in self.slot_hops.links(slot) {
-                        if !self.link_in_region[l2 as usize] {
-                            self.link_in_region[l2 as usize] = true;
-                            self.region_links.push(l2);
-                        }
-                    }
-                }
-            }
+            self.expand_region(qi);
             self.comp_bounds.push((
                 self.region_links.len() as u32,
                 self.region_slots.len() as u32,
@@ -1370,55 +1339,7 @@ impl FlowNet {
         let mut dirty = dirty;
         dirty.clear();
         self.dirty_links = dirty;
-
-        self.stats.recomputes += 1;
-        self.stats.region_links += self.region_links.len() as u64;
-        self.stats.region_flows += self.region_slots.len() as u64;
-        self.stats.components += self.comp_bounds.len() as u64;
-
-        // Local link indices are component-relative: each component is
-        // staged into its own workspace.
-        {
-            let mut base = 0usize;
-            let mut ci = 0usize;
-            for (li, &l) in self.region_links.iter().enumerate() {
-                while li as u32 >= self.comp_bounds[ci].0 {
-                    base = self.comp_bounds[ci].0 as usize;
-                    ci += 1;
-                }
-                self.link_local[l as usize] = (li - base) as u32;
-            }
-        }
-        self.rates_scratch.clear();
-        self.rates_scratch.resize(self.region_slots.len(), 0.0);
-        self.loads_scratch.clear();
-        self.loads_scratch.resize(self.region_links.len(), 0.0);
-
-        let n_workers = self.solver_workers.min(self.comp_bounds.len());
-        if n_workers > 1 && self.region_slots.len() >= PAR_FLOWS_CUTOFF {
-            self.solve_components_parallel(n_workers);
-        } else {
-            let inputs = SolveInputs {
-                topo: &self.topo,
-                cbr_load_bps: &self.cbr_load_bps,
-                slot_hops: &self.slot_hops,
-                link_local: &self.link_local,
-            };
-            let (mut pl, mut ps) = (0usize, 0usize);
-            for &(le, se) in &self.comp_bounds {
-                let (le, se) = (le as usize, se as usize);
-                Self::solve_component(
-                    &mut self.ws,
-                    &inputs,
-                    &self.region_links[pl..le],
-                    &self.region_slots[ps..se],
-                    &mut self.rates_scratch[ps..se],
-                    &mut self.loads_scratch[pl..le],
-                );
-                pl = le;
-                ps = se;
-            }
-        }
+        self.solve_region();
 
         // --- Canonical write-back: flow-id order, independent of both
         // component discovery order and worker layout (the node rate sums
@@ -1443,14 +1364,7 @@ impl FlowNet {
         for (li, &l) in self.region_links.iter().enumerate() {
             self.link_load_bps[l as usize] = self.loads_scratch[li];
         }
-
-        // --- Reset region marks for the next recompute.
-        for &l in &self.region_links {
-            self.link_in_region[l as usize] = false;
-        }
-        for &slot in &self.region_slots {
-            self.flow_in_region[slot as usize] = false;
-        }
+        self.clear_region_marks();
 
         #[cfg(debug_assertions)]
         {
@@ -1459,13 +1373,101 @@ impl FlowNet {
         }
     }
 
+    /// Close the region over the flow–link sharing graph, walking
+    /// `region_links` from index `qi`: a flow crossing a region link joins
+    /// the region (and gets its `region_pos`), and pulls in all its links.
+    fn expand_region(&mut self, mut qi: usize) {
+        while qi < self.region_links.len() {
+            let l = self.region_links[qi] as usize;
+            qi += 1;
+            for ei in 0..self.link_flows.len[l] as usize {
+                // Only adaptive incidence lives here; CBR flows are solved
+                // by the layered background pass and the adaptive region
+                // sees them only as pre-committed link load.
+                let slot = self.link_flows.get(l, ei).slot;
+                if self.region_pos[slot as usize] != NONE_U32 {
+                    continue;
+                }
+                self.region_pos[slot as usize] = self.region_slots.len() as u32;
+                self.region_slots.push(slot);
+                for &l2 in self.slot_hops.links(slot) {
+                    if !self.link_in_region[l2 as usize] {
+                        self.link_in_region[l2 as usize] = true;
+                        self.region_links.push(l2);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Reset the region marks for the next recompute.
+    fn clear_region_marks(&mut self) {
+        for &l in &self.region_links {
+            self.link_in_region[l as usize] = false;
+        }
+        for &slot in &self.region_slots {
+            self.region_pos[slot as usize] = NONE_U32;
+        }
+    }
+
+    /// Solve every discovered component ([`FlowNet::fill_component`]):
+    /// rates land in `rates_scratch` (indexed like `region_slots`), loads
+    /// in `loads_scratch` (like `region_links`).
+    fn solve_region(&mut self) {
+        self.stats.recomputes += 1;
+        self.stats.region_links += self.region_links.len() as u64;
+        self.stats.region_flows += self.region_slots.len() as u64;
+        let mut prev_end = 0;
+        for &(_, se) in &self.comp_bounds {
+            if se > prev_end {
+                self.stats.components += 1;
+            }
+            prev_end = se;
+        }
+        let mut rates = std::mem::take(&mut self.rates_scratch);
+        rates.clear();
+        rates.resize(self.region_slots.len(), UNFROZEN);
+        let mut loads = std::mem::take(&mut self.loads_scratch);
+        loads.clear();
+        loads.resize(self.region_links.len(), 0.0);
+        let mut fill = std::mem::take(&mut self.fill);
+        let n_workers = self.solver_workers.min(self.comp_bounds.len());
+        if n_workers > 1 && self.region_slots.len() >= PAR_FLOWS_CUTOFF {
+            self.solve_components_parallel(&mut fill, n_workers, &mut rates, &mut loads);
+        } else {
+            let (mut pl, mut ps) = (0usize, 0usize);
+            for &(le, se) in &self.comp_bounds {
+                let (le, se) = (le as usize, se as usize);
+                self.fill_component(
+                    &mut fill[0],
+                    &self.region_links[pl..le],
+                    ps,
+                    &mut rates[ps..se],
+                    &mut loads[pl..le],
+                );
+                pl = le;
+                ps = se;
+            }
+        }
+        self.fill = fill;
+        self.rates_scratch = rates;
+        self.loads_scratch = loads;
+    }
+
     /// Solve the discovered components on scoped worker threads: a greedy
-    /// contiguous partition balanced by flow count, one workspace per
-    /// worker, disjoint slices of the result buffers.
-    fn solve_components_parallel(&mut self, n_workers: usize) {
-        if self.worker_ws.len() < n_workers {
-            self.worker_ws
-                .resize_with(n_workers, FairShareWorkspace::new);
+    /// contiguous partition balanced by flow count, one fill state per
+    /// worker (components are link-disjoint, so no link is live in two),
+    /// disjoint slices of the result buffers.
+    fn solve_components_parallel(
+        &self,
+        fill: &mut Vec<FillState>,
+        n_workers: usize,
+        rates: &mut [f64],
+        loads: &mut [f64],
+    ) {
+        if fill.len() < n_workers {
+            let n_links = self.topo.num_links();
+            fill.resize_with(n_workers, || FillState::new(n_links));
         }
         let total = self.region_slots.len();
         let target = total.div_ceil(n_workers).max(1);
@@ -1481,49 +1483,33 @@ impl FlowNet {
                 }
             }
         }
-        let inputs = SolveInputs {
-            topo: &self.topo,
-            cbr_load_bps: &self.cbr_load_bps,
-            slot_hops: &self.slot_hops,
-            link_local: &self.link_local,
-        };
-        let comp_bounds: &[(u32, u32)] = &self.comp_bounds;
-        let region_links: &[u32] = &self.region_links;
-        let region_slots: &[u32] = &self.region_slots;
-        let mut rates_rest: &mut [f64] = &mut self.rates_scratch;
-        let mut loads_rest: &mut [f64] = &mut self.loads_scratch;
+        let mut rates_rest = rates;
+        let mut loads_rest = loads;
         std::thread::scope(|scope| {
-            let inputs = &inputs;
             let mut links_off = 0usize;
             let mut slots_off = 0usize;
-            for (ws, &(c0, c1)) in self.worker_ws.iter_mut().zip(&parts) {
-                let l_end = comp_bounds[c1 - 1].0 as usize;
-                let s_end = comp_bounds[c1 - 1].1 as usize;
-                let links_w = &region_links[links_off..l_end];
-                let slots_w = &region_slots[slots_off..s_end];
+            for (fs, &(c0, c1)) in fill.iter_mut().zip(&parts) {
+                let l_end = self.comp_bounds[c1 - 1].0 as usize;
+                let s_end = self.comp_bounds[c1 - 1].1 as usize;
                 let (rates_w, rr) = std::mem::take(&mut rates_rest).split_at_mut(s_end - slots_off);
                 rates_rest = rr;
                 let (loads_w, lr) = std::mem::take(&mut loads_rest).split_at_mut(l_end - links_off);
                 loads_rest = lr;
-                let bounds_w = &comp_bounds[c0..c1];
-                let (mut pl, mut ps) = (links_off as u32, slots_off as u32);
+                let bounds_w = &self.comp_bounds[c0..c1];
+                let (l0, s0) = (links_off, slots_off);
                 links_off = l_end;
                 slots_off = s_end;
                 scope.spawn(move || {
-                    let (mut ol, mut os) = (0usize, 0usize);
+                    let (mut pl, mut ps) = (l0, s0);
                     for &(le, se) in bounds_w {
-                        let nl = (le - pl) as usize;
-                        let ns = (se - ps) as usize;
-                        Self::solve_component(
-                            ws,
-                            inputs,
-                            &links_w[ol..ol + nl],
-                            &slots_w[os..os + ns],
-                            &mut rates_w[os..os + ns],
-                            &mut loads_w[ol..ol + nl],
+                        let (le, se) = (le as usize, se as usize);
+                        self.fill_component(
+                            fs,
+                            &self.region_links[pl..le],
+                            ps,
+                            &mut rates_w[ps - s0..se - s0],
+                            &mut loads_w[pl - l0..le - l0],
                         );
-                        ol += nl;
-                        os += ns;
                         pl = le;
                         ps = se;
                     }
@@ -1532,44 +1518,98 @@ impl FlowNet {
         });
     }
 
-    /// Stage and solve one connected component in `ws`; rates and link
-    /// loads land in the component's slices of the scratch buffers.
-    fn solve_component(
-        ws: &mut FairShareWorkspace,
-        inp: &SolveInputs<'_>,
+    /// Progressive filling run in place on the live incidence lists
+    /// (`link_flows`, `slot_hops`): nothing is staged or re-indexed.
+    ///
+    /// `links` must be closed under sharing — every flow crossing one of
+    /// them is a region flow whose links are all in `links` — which holds
+    /// for a component and for a whole region. Its flows are the region
+    /// flows `first..first + rates.len()`. Writes their rates to `rates`
+    /// and each link's committed load to `loads` (parallel to `links`);
+    /// `fs` holds the per-link state, seeded here for `links` only.
+    ///
+    /// The result does not depend on the order in which flows are frozen,
+    /// so it is bitwise equal to filling the same problem in any other
+    /// flow order (slot numbering, incidence order, staging order): each
+    /// round's minimum share and saturated set are exact functions of the
+    /// per-link state, and every flow frozen in a round takes that round's
+    /// share, so each link sees the same sequence of updates.
+    fn fill_component(
+        &self,
+        fs: &mut FillState,
         links: &[u32],
-        slots: &[u32],
-        rates_out: &mut [f64],
-        loads_out: &mut [f64],
+        first: usize,
+        rates: &mut [f64],
+        loads: &mut [f64],
     ) {
-        if slots.is_empty() {
-            // A dirty link no flow crosses: a solve would return exactly
-            // its pre-committed CBR load.
-            for (ld, &l) in loads_out.iter_mut().zip(links) {
-                *ld = inp.cbr_load_bps[l as usize];
+        let FillState { fill, saturated } = fs;
+        for &l in links {
+            let li = l as usize;
+            // CBR is solved in its own layer; its committed load is
+            // pre-committed here, as the reference's CBR pass leaves it.
+            let load = self.cbr_load_bps[li];
+            let residual = (self.topo.link(LinkId(l)).capacity_bps - load).max(0.0);
+            fill[li] = LinkFill {
+                residual,
+                share: f64::INFINITY,
+                load,
+                // Closed under sharing: every flow on the link is unfrozen.
+                count: self.link_flows.len[li],
+            };
+        }
+        rates.fill(UNFROZEN);
+        let mut n_unfrozen = rates.len();
+        while n_unfrozen > 0 {
+            // Shares are refreshed once per round, here, not on every
+            // freeze: the value is the same (`residual / count` of the
+            // link's state after the last round), and a link that k
+            // frozen flows cross costs one division instead of k.
+            let mut min_share = f64::INFINITY;
+            for &l in links {
+                let f = &mut fill[l as usize];
+                f.share = if f.count > 0 {
+                    f.residual / f.count as f64
+                } else {
+                    f64::INFINITY
+                };
+                min_share = min_share.min(f.share);
             }
-            return;
-        }
-        ws.begin(links.len());
-        for (li, &l) in links.iter().enumerate() {
-            ws.set_link(li, inp.topo.link(LinkId(l)).capacity_bps, 0.0);
-            ws.preload_link(li, inp.cbr_load_bps[l as usize]);
-        }
-        for &slot in slots {
-            ws.add_flow(
-                inp.slot_hops
-                    .links(slot)
+            debug_assert!(min_share.is_finite());
+            // Same tie tolerance as the reference implementation.
+            let eps = min_share * 1e-9 + 1e-6;
+            let cutoff = min_share + eps;
+            saturated.clear();
+            saturated.extend(
+                links
                     .iter()
-                    .map(|&l| inp.link_local[l as usize]),
-                None,
+                    .copied()
+                    .filter(|&l| fill[l as usize].share <= cutoff),
             );
+            // Freeze every flow crossing a saturated link.
+            let mut froze_any = false;
+            for &l in saturated.iter() {
+                for e in self.link_flows.list(l as usize) {
+                    let fi = self.region_pos[e.slot as usize] as usize - first;
+                    if rates[fi] != UNFROZEN {
+                        continue;
+                    }
+                    rates[fi] = min_share;
+                    froze_any = true;
+                    n_unfrozen -= 1;
+                    for &l2 in self.slot_hops.links(e.slot) {
+                        let f = &mut fill[l2 as usize];
+                        f.residual = (f.residual - min_share).max(0.0);
+                        f.count -= 1;
+                        f.load += min_share;
+                    }
+                }
+            }
+            // Progress guarantee: min_share came from a live link, and all
+            // of that link's flows freeze when it saturates.
+            assert!(froze_any, "progressive filling failed to make progress");
         }
-        ws.solve();
-        for (fi, r) in rates_out.iter_mut().enumerate() {
-            *r = ws.rate_bps(fi);
-        }
-        for (li, ld) in loads_out.iter_mut().enumerate() {
-            *ld = ws.link_load_bps(li);
+        for (ld, &l) in loads.iter_mut().zip(links) {
+            *ld = fill[l as usize].load;
         }
     }
 
@@ -1608,13 +1648,7 @@ impl FlowNet {
                 let f = &self.slot(slot).flow;
                 let rem = f.remaining_bytes.expect("projected flow is bounded");
                 let d = SimDuration::for_bytes_at_rate(rem.ceil() as u64, f.rate_bps);
-                self.heap.set(
-                    slot,
-                    Projection {
-                        t: self.now + d,
-                        ..p
-                    },
-                );
+                self.project(slot, Some(self.now + d));
                 continue;
             }
             return Some((p.t, FlowId(p.id)));
@@ -1704,7 +1738,7 @@ impl FlowNet {
             s
         } else {
             self.slots.push(Some(st));
-            self.flow_in_region.push(false);
+            self.region_pos.push(NONE_U32);
             (self.slots.len() - 1) as u32
         }
     }
@@ -1977,7 +2011,7 @@ impl FlowNet {
             }
             net.slots.push(Some(st));
         }
-        net.flow_in_region = vec![false; n_slots];
+        net.region_pos = vec![NONE_U32; n_slots];
         net.free_slots = Vec::<u32>::get(r)?;
         {
             let mut seen = vec![false; n_slots];
@@ -2232,7 +2266,7 @@ impl FlowNet {
 mod tests {
     use super::*;
     use crate::flow::FiveTuple;
-    use crate::topology::{build_multi_rack, MultiRack, MultiRackParams};
+    use crate::topology::{build_multi_rack, MultiRack, MultiRackParams, TopologyBuilder};
 
     fn small() -> MultiRack {
         build_multi_rack(&MultiRackParams {
@@ -2766,14 +2800,316 @@ mod tests {
             Path::new(t, vec![up2]).unwrap(),
         );
         net.recompute();
+        // The exact path solves both components as one joint region.
+        assert_eq!(net.stats().components, 1);
         let ra = net.flow(fa).unwrap().rate_bps;
         let eb = net.epoch();
         net.advance_to(SimTime::from_millis(10));
         net.remove_flow(fb);
         net.recompute();
         assert!(net.epoch() > eb);
+        // fb's link is left with no adaptive flow: no filling solve ran.
+        assert_eq!(net.stats().components, 1);
         // fa's component was untouched: identical rate, bit for bit.
         assert_eq!(net.flow(fa).unwrap().rate_bps, ra);
         net.assert_matches_reference();
+    }
+
+    /// A fair-share problem on a chain fabric: nodes `0..=hops` in a line,
+    /// hop `h` joined by parallel links of capacity `caps[h][k]` (0 ⇒ a
+    /// dead link), so a hop interval with one link per hop is a path.
+    struct Mesh {
+        caps: Vec<Vec<f64>>,
+        flows: Vec<MeshFlow>,
+    }
+
+    /// One flow of a [`Mesh`]: it rides hops `first..first + pick.len()`,
+    /// taking parallel link `pick[i]` on each.
+    struct MeshFlow {
+        first: usize,
+        pick: Vec<usize>,
+        /// `Some(rate)` for a CBR stream, `None` for a TCP transfer.
+        cbr: Option<f64>,
+        /// TCP transfer size; 0 is a completed flow that holds no links
+        /// (the reference's empty-path placeholder).
+        bytes: u64,
+    }
+
+    impl Mesh {
+        fn adaptive(first: usize, pick: &[usize]) -> MeshFlow {
+            MeshFlow {
+                first,
+                pick: pick.to_vec(),
+                cbr: None,
+                bytes: 1_000_000_000,
+            }
+        }
+
+        fn cbr(first: usize, pick: &[usize], rate: f64) -> MeshFlow {
+            MeshFlow {
+                cbr: Some(rate),
+                ..Self::adaptive(first, pick)
+            }
+        }
+
+        /// Global index of hop `h`'s parallel link `k` (links are built
+        /// hop-major).
+        fn link(&self, h: usize, k: usize) -> usize {
+            self.caps[..h].iter().map(Vec::len).sum::<usize>() + k
+        }
+
+        fn links_of(&self, f: &MeshFlow) -> Vec<usize> {
+            f.pick
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| self.link(f.first + i, k))
+                .collect()
+        }
+
+        /// Start the flows in `order` (exact or relaxed mode), kill the
+        /// dead links, and solve. Returns the net and each flow's id.
+        fn solve(&self, relaxed: bool, order: &[usize]) -> (FlowNet, Vec<FlowId>) {
+            let mut b = TopologyBuilder::new();
+            let nodes: Vec<NodeId> = (0..=self.caps.len())
+                .map(|i| b.add_core_switch(format!("n{i}")))
+                .collect();
+            for (h, caps) in self.caps.iter().enumerate() {
+                for &cap in caps {
+                    b.add_link(nodes[h], nodes[h + 1], cap.max(1.0));
+                }
+            }
+            let topo = b.build();
+            let mut net = FlowNet::new(topo.clone());
+            net.set_relaxed_order(relaxed);
+            let mut ids = vec![FlowId(u64::MAX); self.flows.len()];
+            for &fi in order {
+                let f = &self.flows[fi];
+                let links: Vec<LinkId> =
+                    self.links_of(f).iter().map(|&l| LinkId(l as u32)).collect();
+                let path = Path::new(&topo, links).unwrap();
+                let (src, dst, port) = (path.src(), path.dst(), 1000 + fi as u16);
+                let spec = match f.cbr {
+                    Some(r) => FlowSpec::cbr(FiveTuple::udp(src, dst, port, 9), r),
+                    None => FlowSpec::tcp_transfer(FiveTuple::tcp(src, dst, port, 9), f.bytes),
+                };
+                ids[fi] = net.start_flow(spec, path);
+            }
+            for (h, caps) in self.caps.iter().enumerate() {
+                for (k, &cap) in caps.iter().enumerate() {
+                    if cap == 0.0 {
+                        net.set_link_capacity(LinkId(self.link(h, k) as u32), 0.0);
+                    }
+                }
+            }
+            net.recompute();
+            (net, ids)
+        }
+
+        /// Solve in place and require agreement with [`max_min_fair`] to a
+        /// tight relative tolerance, in both solver modes.
+        fn assert_matches_max_min_fair(&self) {
+            let caps: Vec<f64> = self.caps.iter().flatten().copied().collect();
+            let paths: Vec<Vec<usize>> = self
+                .flows
+                .iter()
+                .map(|f| {
+                    if f.cbr.is_none() && f.bytes == 0 {
+                        Vec::new()
+                    } else {
+                        self.links_of(f)
+                    }
+                })
+                .collect();
+            let reference = max_min_fair(
+                &caps,
+                &self
+                    .flows
+                    .iter()
+                    .zip(&paths)
+                    .map(|(f, links)| FlowPath {
+                        links,
+                        cbr_rate_bps: f.cbr,
+                    })
+                    .collect::<Vec<_>>(),
+            );
+            let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
+            let order: Vec<usize> = (0..self.flows.len()).collect();
+            for relaxed in [false, true] {
+                let (net, ids) = self.solve(relaxed, &order);
+                for (fi, &want) in reference.rates_bps.iter().enumerate() {
+                    let got = net.flow(ids[fi]).unwrap().rate_bps;
+                    assert!(
+                        close(got, want),
+                        "relaxed={relaxed} flow {fi}: in place {got} vs reference {want}"
+                    );
+                }
+                for (l, &want) in reference.link_load_bps.iter().enumerate() {
+                    let got = net.link_load_bps(LinkId(l as u32));
+                    assert!(
+                        close(got, want),
+                        "relaxed={relaxed} link {l}: in place {got} vs reference {want}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Deterministic LCG; no external RNG needed here.
+    fn lcg(seed: u64) -> impl FnMut() -> usize {
+        let mut state = seed;
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        }
+    }
+
+    /// A random chain mesh: 2–6 hops of 1–3 parallel links (1 in 12 dead),
+    /// flows on random hop intervals, every third one CBR, and a few
+    /// zero-byte placeholders.
+    fn random_mesh(next: &mut impl FnMut() -> usize, n_flows: usize) -> Mesh {
+        let hops = 2 + next() % 5;
+        let caps: Vec<Vec<f64>> = (0..hops)
+            .map(|_| {
+                (0..1 + next() % 3)
+                    .map(|_| {
+                        if next().is_multiple_of(12) {
+                            0.0
+                        } else {
+                            (1 + next() % 1000) as f64 * 1e6
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let flows = (0..n_flows)
+            .map(|i| {
+                let first = next() % hops;
+                let len = 1 + next() % 3.min(hops - first);
+                let pick: Vec<usize> = (first..first + len)
+                    .map(|h| next() % caps[h].len())
+                    .collect();
+                let mut f = Mesh::adaptive(first, &pick);
+                if i % 3 == 0 {
+                    f.cbr = Some((1 + next() % 500) as f64 * 1e6);
+                } else if next().is_multiple_of(10) {
+                    f.bytes = 0;
+                }
+                f
+            })
+            .collect();
+        Mesh { caps, flows }
+    }
+
+    #[test]
+    fn in_place_solve_matches_reference_on_pinned_cases() {
+        let adaptive = Mesh::adaptive;
+        let cbr = Mesh::cbr;
+        // Link 0 (10) shared by f0, f1; link 1 (100) by f1, f2.
+        let cases = [
+            Mesh {
+                caps: vec![vec![10.0], vec![100.0]],
+                flows: vec![adaptive(0, &[0]), adaptive(0, &[0, 0]), adaptive(1, &[0])],
+            },
+            // CBR takes priority; then an overloaded CBR is clamped.
+            Mesh {
+                caps: vec![vec![100.0]],
+                flows: vec![cbr(0, &[0], 60.0), adaptive(0, &[0]), adaptive(0, &[0])],
+            },
+            Mesh {
+                caps: vec![vec![100.0]],
+                flows: vec![cbr(0, &[0], 500.0), adaptive(0, &[0])],
+            },
+            // The removal anomaly's "with C" problem.
+            Mesh {
+                caps: vec![vec![10.0], vec![2.0]],
+                flows: vec![adaptive(0, &[0, 0]), adaptive(0, &[0]), adaptive(1, &[0])],
+            },
+            // A placeholder flow and a zero-capacity link.
+            Mesh {
+                caps: vec![vec![0.0], vec![50.0]],
+                flows: vec![
+                    MeshFlow {
+                        bytes: 0,
+                        ..adaptive(0, &[0, 0])
+                    },
+                    adaptive(1, &[0]),
+                    cbr(0, &[0], 5.0),
+                    adaptive(0, &[0, 0]),
+                ],
+            },
+        ];
+        for mesh in &cases {
+            mesh.assert_matches_max_min_fair();
+        }
+    }
+
+    #[test]
+    fn in_place_solve_matches_reference_on_random_meshes() {
+        let mut next = lcg(0x2545_F491_4F6C_DD1D);
+        for _ in 0..50 {
+            let n_flows = 1 + next() % 24;
+            random_mesh(&mut next, n_flows).assert_matches_max_min_fair();
+        }
+    }
+
+    /// The same flows started in two different orders (different slots,
+    /// different incidence-list order, different discovery order) solve
+    /// to bitwise-equal rates and link loads — before and after churn
+    /// that swap-removes entries out of the incidence lists.
+    #[test]
+    fn solve_is_independent_of_flow_order() {
+        let mut next = lcg(7);
+        let mut mesh = random_mesh(&mut next, 90);
+        // At most one CBR flow per link: the CBR layer sums a link's CBR
+        // rates in incidence order, which this test permutes.
+        let mut cbr_on = vec![false; mesh.caps.iter().map(Vec::len).sum()];
+        for fi in 0..mesh.flows.len() {
+            if mesh.flows[fi].cbr.is_some() {
+                let links = mesh.links_of(&mesh.flows[fi]);
+                if links.iter().any(|&l| cbr_on[l]) {
+                    mesh.flows[fi].cbr = None;
+                } else {
+                    links.iter().for_each(|&l| cbr_on[l] = true);
+                }
+            }
+        }
+        let forward: Vec<usize> = (0..mesh.flows.len()).collect();
+        let mut shuffled: Vec<usize> = forward.iter().rev().copied().collect();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, next() % (i + 1));
+        }
+        let by_tuple = |net: &FlowNet| -> Vec<([u8; 13], u64)> {
+            let mut v: Vec<_> = net
+                .flows()
+                .map(|(_, f)| (f.spec.tuple.to_bytes(), f.rate_bps.to_bits()))
+                .collect();
+            v.sort_unstable();
+            v
+        };
+        let loads = |net: &FlowNet| -> Vec<u64> {
+            (0..net.topology().num_links())
+                .map(|l| net.link_load_bps(LinkId(l as u32)).to_bits())
+                .collect()
+        };
+        for relaxed in [false, true] {
+            let (mut a, ids_a) = mesh.solve(relaxed, &forward);
+            let (mut b, ids_b) = mesh.solve(relaxed, &shuffled);
+            assert_eq!(by_tuple(&a), by_tuple(&b), "relaxed={relaxed}");
+            assert_eq!(loads(&a), loads(&b), "relaxed={relaxed}");
+            // Remove every fourth flow, in opposite orders.
+            let gone: Vec<usize> = (0..mesh.flows.len()).step_by(4).collect();
+            for &fi in &gone {
+                a.remove_flow(ids_a[fi]);
+            }
+            for &fi in gone.iter().rev() {
+                b.remove_flow(ids_b[fi]);
+            }
+            a.recompute();
+            b.recompute();
+            assert_eq!(by_tuple(&a), by_tuple(&b), "relaxed={relaxed}, after churn");
+            assert_eq!(loads(&a), loads(&b), "relaxed={relaxed}, after churn");
+        }
     }
 }
