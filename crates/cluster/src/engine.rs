@@ -714,6 +714,9 @@ impl Persist for BufferedRule {
 struct Engine<'a> {
     cfg: &'a ScenarioConfig,
     mr: MultiRack,
+    /// `mr.trunk_mask()`: trunk membership per link, for classifying each
+    /// completed flow's trunk in O(hops).
+    is_trunk: Vec<bool>,
     net: FlowNet,
     dataplane: Dataplane,
     controller: Controller,
@@ -1035,6 +1038,7 @@ impl<'a> Engine<'a> {
             tenant_rules_issued: vec![0; n_jobs_total],
             tenant_rules_installed: vec![0; n_jobs_total],
             tenant_tcam_rejected: vec![0; n_jobs_total],
+            is_trunk: mr.trunk_mask(),
             mr,
         }
     }
@@ -2296,10 +2300,8 @@ impl<'a> Engine<'a> {
         let _span = self.flight.span("flow_complete");
         let report = self.net.remove_flow(fid);
         self.dirty_net_flow();
-        self.trace.push(ShuffleFlowRecord::from_report(
-            &report,
-            &self.mr.trunk_links,
-        ));
+        self.trace
+            .push(ShuffleFlowRecord::from_report(&report, &self.is_trunk));
         // Crisp measured curves: relaxed mode samples the completing
         // flow's own source curve here (a same-timestamp wave coalesces
         // into one point via the delta-encoded push); exact mode sweeps

@@ -188,6 +188,9 @@ impl RunReport {
 
     /// Imbalance of shuffle bytes across parallel trunk cables, grouped
     /// by direction (1.0 = perfect balance of every used direction).
+    /// On a fat-tree every direction group holds one cable, so this is
+    /// 1.0 by construction there; it measures balance only on fabrics
+    /// with parallel trunks, such as the paper's multi-rack shape.
     pub fn trunk_imbalance(&self) -> f64 {
         self.flow_trace.trunk_imbalance_grouped(&self.trunk_groups)
     }

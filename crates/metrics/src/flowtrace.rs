@@ -31,13 +31,15 @@ pub struct ShuffleFlowRecord {
 }
 
 impl ShuffleFlowRecord {
-    /// Build from a [`FlowReport`], classifying the trunk link crossed.
-    pub fn from_report(report: &FlowReport, trunk_links: &[LinkId]) -> ShuffleFlowRecord {
+    /// Build from a [`FlowReport`], classifying the trunk link crossed:
+    /// the first link of the path, in path order, that `is_trunk` marks
+    /// (indexed by `LinkId.0`, as `MultiRack::trunk_mask` builds it).
+    pub fn from_report(report: &FlowReport, is_trunk: &[bool]) -> ShuffleFlowRecord {
         let trunk = report
             .path
             .links()
             .iter()
-            .find(|l| trunk_links.contains(l))
+            .find(|l| is_trunk[l.0 as usize])
             .map(|l| l.0);
         ShuffleFlowRecord {
             src_node: report.spec.tuple.src.0,
@@ -101,18 +103,29 @@ impl FlowTrace {
 
     /// Bytes carried per trunk link — the load-balance view of a run.
     pub fn bytes_per_trunk(&self, trunk_links: &[LinkId]) -> Vec<(LinkId, f64)> {
+        let sums = self.sums_by_link(trunk_links);
         trunk_links
             .iter()
-            .map(|&t| {
-                let b = self
-                    .records
-                    .iter()
-                    .filter(|r| r.trunk_link == Some(t.0))
-                    .map(|r| r.bytes)
-                    .sum();
-                (t, b)
-            })
+            .map(|&t| (t, sums[t.0 as usize]))
             .collect()
+    }
+
+    /// Bytes per link of `links`, indexed by `LinkId.0`, in one pass over
+    /// the records. Each link sums its records in record order from the
+    /// empty sum (`-0.0`), exactly as `Iterator::sum` over that link's
+    /// records would, so the results are bitwise those of a per-link
+    /// filter-and-sum. Entries of links not asked for stay `-0.0`.
+    fn sums_by_link<'a>(&self, links: impl IntoIterator<Item = &'a LinkId>) -> Vec<f64> {
+        let member = link_mask(links);
+        let mut sums = vec![-0.0; member.len()];
+        for r in &self.records {
+            if let Some(t) = r.trunk_link {
+                if member.get(t as usize) == Some(&true) {
+                    sums[t as usize] += r.bytes;
+                }
+            }
+        }
+        sums
     }
 
     /// Imbalance across trunks: max/mean of per-trunk bytes (1.0 =
@@ -132,20 +145,26 @@ impl FlowTrace {
     /// result is the byte-weighted mean of per-group max/mean ratios.
     /// A shuffle whose traffic flows mostly one way is not penalized for
     /// leaving the reverse-direction links idle.
+    ///
+    /// On a fat-tree no two cables join the same switch pair, so every
+    /// group holds one link and the result is 1.0 by construction; only
+    /// fabrics with parallel trunks (the multi-rack shape) can show
+    /// imbalance here.
     pub fn trunk_imbalance_grouped(&self, groups: &[Vec<LinkId>]) -> f64 {
+        let sums = self.sums_by_link(groups.iter().flatten());
         let mut weighted = 0.0;
         let mut weight = 0.0;
         for g in groups {
             if g.is_empty() {
                 continue;
             }
-            let per = self.bytes_per_trunk(g);
-            let total: f64 = per.iter().map(|&(_, b)| b).sum();
+            let per = g.iter().map(|t| sums[t.0 as usize]);
+            let total: f64 = per.clone().sum();
             if total <= 0.0 {
                 continue;
             }
-            let mean = total / per.len() as f64;
-            let imb = per.iter().map(|&(_, b)| b).fold(0.0, f64::max) / mean;
+            let mean = total / g.len() as f64;
+            let imb = per.fold(0.0, f64::max) / mean;
             weighted += imb * total;
             weight += total;
         }
@@ -188,10 +207,26 @@ impl FlowTrace {
     /// Check a topology invariant: every record's trunk id is in the set.
     pub fn validate_trunks(&self, topo: &Topology, trunk_links: &[LinkId]) -> bool {
         let _ = topo;
+        let known = link_mask(trunk_links);
         self.records.iter().all(|r| {
-            r.trunk_link.is_none() || trunk_links.iter().any(|t| t.0 == r.trunk_link.unwrap())
+            r.trunk_link
+                .is_none_or(|t| known.get(t as usize) == Some(&true))
         })
     }
+}
+
+/// Membership of `links`, indexed by `LinkId.0` and as long as the
+/// largest id asked for requires.
+fn link_mask<'a>(links: impl IntoIterator<Item = &'a LinkId>) -> Vec<bool> {
+    let mut mask = Vec::new();
+    for l in links {
+        let i = l.0 as usize;
+        if mask.len() <= i {
+            mask.resize(i + 1, false);
+        }
+        mask[i] = true;
+    }
+    mask
 }
 
 impl Persist for ShuffleFlowRecord {
@@ -233,6 +268,9 @@ impl Persist for FlowTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pythia_netsim::{
+        build_fat_tree, FatTreeParams, FiveTuple, FlowId, FlowSpec, MultiRack, Path,
+    };
 
     fn rec(src: u32, trunk: Option<u32>, bytes: f64, start: f64, end: f64) -> ShuffleFlowRecord {
         ShuffleFlowRecord {
@@ -245,6 +283,117 @@ mod tests {
             end_secs: end,
             trunk_link: trunk,
         }
+    }
+
+    fn report(mr: &MultiRack, links: Vec<LinkId>) -> FlowReport {
+        let path = Path::new(&mr.topology, links).unwrap();
+        let tuple = FiveTuple::tcp(path.src(), path.dst(), 50060, 40000);
+        FlowReport {
+            id: FlowId(0),
+            spec: FlowSpec::tcp_transfer(tuple, 1000),
+            path,
+            transferred_bytes: 1000.0,
+            started_at: SimTime::ZERO,
+            ended_at: SimTime::from_secs_f64(1.0),
+        }
+    }
+
+    /// Every shortest path from server `a` to server `b` of a fat-tree,
+    /// built from its Clos metadata.
+    fn clos_paths(mr: &MultiRack, a: NodeId, b: NodeId) -> Vec<Vec<LinkId>> {
+        let clos = mr.clos.as_ref().unwrap();
+        let (ea, up) = clos.host_up(a).unwrap();
+        let (eb, _) = clos.host_up(b).unwrap();
+        let down = clos.down_link(eb, b).unwrap();
+        if ea == eb {
+            return vec![vec![up, down]];
+        }
+        let aggs_b = clos.aggs_of_pod(clos.pod_of_edge(eb).unwrap());
+        let mut paths = Vec::new();
+        for &(e_up, agg) in clos.edge_uplinks(ea) {
+            if let Some(a_dn) = clos.down_link(agg, eb) {
+                paths.push(vec![up, e_up, a_dn, down]);
+                continue;
+            }
+            for &(a_up, core) in clos.agg_uplinks(agg) {
+                for &agg_b in aggs_b {
+                    if let Some(c_dn) = clos.down_link(core, agg_b) {
+                        let a_dn = clos.down_link(agg_b, eb).unwrap();
+                        paths.push(vec![up, e_up, a_up, c_dn, a_dn, down]);
+                    }
+                }
+            }
+        }
+        paths
+    }
+
+    #[test]
+    fn from_report_takes_first_trunk_in_path_order() {
+        let mr = build_fat_tree(&FatTreeParams::default());
+        let mask = mr.trunk_mask();
+        let (a, b) = (mr.servers[0], mr.servers[mr.servers.len() - 1]);
+        let path = clos_paths(&mr, a, b).swap_remove(0);
+        assert_eq!(path.len(), 6); // cross-pod: four trunk hops
+        let r = ShuffleFlowRecord::from_report(&report(&mr, path.clone()), &mask);
+        assert_eq!(r.trunk_link, Some(path[1].0));
+    }
+
+    #[test]
+    fn from_report_same_rack_has_no_trunk() {
+        let mr = build_fat_tree(&FatTreeParams::default());
+        let paths = clos_paths(&mr, mr.servers[0], mr.servers[1]);
+        assert_eq!(paths.len(), 1);
+        let r = ShuffleFlowRecord::from_report(&report(&mr, paths[0].clone()), &mr.trunk_mask());
+        assert_eq!(r.trunk_link, None);
+    }
+
+    #[test]
+    fn from_report_matches_trunk_list_scan_on_every_fat_tree_pair() {
+        let mr = build_fat_tree(&FatTreeParams::default());
+        let mask = mr.trunk_mask();
+        let mut checked = 0;
+        for &a in &mr.servers {
+            for &b in &mr.servers {
+                if a == b {
+                    continue;
+                }
+                for links in clos_paths(&mr, a, b) {
+                    let scan = links
+                        .iter()
+                        .find(|l| mr.trunk_links.contains(l))
+                        .map(|l| l.0);
+                    let r = ShuffleFlowRecord::from_report(&report(&mr, links), &mask);
+                    assert_eq!(r.trunk_link, scan);
+                    checked += 1;
+                }
+            }
+        }
+        // k=4: 16 same-edge, 32 same-pod × 2 aggs, 192 cross-pod × 4 cores.
+        assert_eq!(checked, 16 + 32 * 2 + 192 * 4);
+    }
+
+    #[test]
+    fn grouped_imbalance_per_trunk_bytes_and_validation() {
+        let mut t = FlowTrace::default();
+        t.push(rec(0, Some(10), 300.0, 0.0, 1.0));
+        t.push(rec(0, Some(12), 100.0, 0.0, 1.0));
+        t.push(rec(1, Some(10), 100.0, 0.0, 1.0));
+        t.push(rec(1, None, 999.0, 0.0, 1.0));
+        let groups = vec![vec![LinkId(10), LinkId(11)], vec![LinkId(12)], vec![]];
+        // Group {10, 11}: 400 vs 0 → 2.0 weighted by 400; {12}: 1.0 by 100.
+        let want = (2.0 * 400.0 + 100.0) / 500.0;
+        assert_eq!(t.trunk_imbalance_grouped(&groups), want);
+        let per = t.bytes_per_trunk(&[LinkId(11), LinkId(10), LinkId(10)]);
+        assert_eq!(
+            per,
+            vec![(LinkId(11), 0.0), (LinkId(10), 400.0), (LinkId(10), 400.0)]
+        );
+        // An untouched trunk holds the empty sum, sign and all.
+        assert!(per[0].1.is_sign_negative());
+        let topo = build_fat_tree(&FatTreeParams::default()).topology;
+        assert!(t.validate_trunks(&topo, &[LinkId(10), LinkId(12)]));
+        assert!(!t.validate_trunks(&topo, &[LinkId(10)]));
+        assert!(!t.validate_trunks(&topo, &[]));
     }
 
     #[test]

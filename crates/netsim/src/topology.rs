@@ -318,6 +318,20 @@ pub struct MultiRack {
     pub clos: Option<ClosStructure>,
 }
 
+impl MultiRack {
+    /// Per-link trunk membership, indexed by `LinkId.0`: `true` exactly
+    /// for the links in `trunk_links`. One byte per link; lets a caller
+    /// classify a path's links in O(hops) instead of scanning
+    /// `trunk_links` per link.
+    pub fn trunk_mask(&self) -> Vec<bool> {
+        let mut mask = vec![false; self.topology.num_links()];
+        for &l in &self.trunk_links {
+            mask[l.0 as usize] = true;
+        }
+        mask
+    }
+}
+
 /// Build the paper's multi-rack leaf topology.
 pub fn build_multi_rack(p: &MultiRackParams) -> MultiRack {
     assert!(p.racks >= 1, "need at least one rack");
@@ -673,6 +687,20 @@ mod tests {
             let a = mr.topology.link(c[0]);
             let bb = mr.topology.link(c[1]);
             assert_eq!((a.src, a.dst), (bb.dst, bb.src));
+        }
+    }
+
+    #[test]
+    fn trunk_mask_marks_exactly_the_trunk_links() {
+        for mr in [
+            build_multi_rack(&MultiRackParams::default()),
+            build_fat_tree(&FatTreeParams::default()),
+        ] {
+            let mask = mr.trunk_mask();
+            assert_eq!(mask.len(), mr.topology.num_links());
+            for (l, _) in mr.topology.links() {
+                assert_eq!(mask[l.0 as usize], mr.trunk_links.contains(&l));
+            }
         }
     }
 

@@ -8,6 +8,8 @@
 //! The table has finite capacity, modelling the scarce TCAM the paper's
 //! flow-aggregation design is motivated by (§IV).
 
+use std::collections::HashSet;
+
 use pythia_netsim::{FiveTuple, LinkId};
 use pythia_snapshot::{Persist, SectionReader, SectionWriter, SnapshotError};
 
@@ -50,7 +52,8 @@ pub struct FlowTable {
     pub lookups: u64,
     /// Lookups that matched no rule.
     pub misses: u64,
-    /// Lookup accelerator, rebuilt lazily after mutations: positions of
+    /// Lookup and install accelerator, rebuilt lazily (by the next
+    /// lookup or install) after a removal: positions of
     /// exact endpoint-pair rules keyed and sorted by `(src, dst)`, plus
     /// positions of every other (wildcarded-endpoint) rule. A rule whose
     /// matcher pins both endpoints can only ever match that one pair, so
@@ -116,14 +119,13 @@ impl FlowTable {
     /// exists it is **replaced** (OpenFlow modify semantics); otherwise the
     /// rule is added, failing if the table is full.
     pub fn install(&mut self, rule: FlowRule) -> Result<(), TableError> {
-        if let Some(e) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.rule.matcher == rule.matcher && e.rule.priority == rule.priority)
-        {
+        if self.index_dirty {
+            self.rebuild_index();
+        }
+        if let Some(pos) = self.position_of(&rule.matcher, rule.priority) {
             // In-place replace: the matcher (and thus the index) is
             // unchanged; only the action differs.
-            e.rule = rule;
+            self.entries[pos].rule = rule;
             return Ok(());
         }
         if self.entries.len() >= self.capacity {
@@ -134,20 +136,46 @@ impl FlowTable {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.entries.push(Entry { rule, seq });
-        if !self.index_dirty {
-            // Incremental index insert; a full (lazy) rebuild is only ever
-            // needed after removals shift entry positions.
-            let pos = (self.entries.len() - 1) as u32;
-            match (rule.matcher.src, rule.matcher.dst) {
-                (Some(s), Some(d)) => {
-                    let key = (s.0, d.0, pos);
-                    let at = self.pair_index.partition_point(|&e| e < key);
-                    self.pair_index.insert(at, key);
-                }
-                _ => self.wild_index.push(pos),
+        // The index is clean here, so the new rule joins it in place;
+        // only removals, which shift entry positions, force a rebuild.
+        let pos = (self.entries.len() - 1) as u32;
+        match (rule.matcher.src, rule.matcher.dst) {
+            (Some(s), Some(d)) => {
+                let key = (s.0, d.0, pos);
+                let at = self.pair_index.partition_point(|&e| e < key);
+                self.pair_index.insert(at, key);
             }
+            _ => self.wild_index.push(pos),
         }
         Ok(())
+    }
+
+    /// Entry positions of the exact endpoint-pair rules for `(src, dst)`
+    /// (raw node ids). The index must be clean.
+    fn pair_positions(&self, src: u32, dst: u32) -> impl Iterator<Item = u32> + '_ {
+        let key = (src, dst);
+        let start = self.pair_index.partition_point(|&(s, d, _)| (s, d) < key);
+        self.pair_index[start..]
+            .iter()
+            .take_while(move |&&(s, d, _)| (s, d) == key)
+            .map(|&(_, _, pos)| pos)
+    }
+
+    /// Entry position of the rule with exactly this matcher and priority,
+    /// if installed (at most one is). An identical matcher pins the same
+    /// endpoints, so the only candidates are the matcher's `pair_index`
+    /// range when it pins both, and `wild_index` otherwise. The index
+    /// must be clean.
+    fn position_of(&self, matcher: &FlowMatch, priority: u16) -> Option<usize> {
+        let same = |&pos: &u32| {
+            let r = &self.entries[pos as usize].rule;
+            r.matcher == *matcher && r.priority == priority
+        };
+        match (matcher.src, matcher.dst) {
+            (Some(s), Some(d)) => self.pair_positions(s.0, d.0).find(same),
+            _ => self.wild_index.iter().copied().find(same),
+        }
+        .map(|pos| pos as usize)
     }
 
     /// Remove all rules with the given matcher. Returns how many were
@@ -173,13 +201,8 @@ impl FlowTable {
         // rule with a wildcarded endpoint. `(priority, seq)` is a total
         // order (seqs are unique), so the max over this superset is
         // exactly the full scan's winner.
-        let key = (tuple.src.0, tuple.dst.0);
-        let start = self.pair_index.partition_point(|&(s, d, _)| (s, d) < key);
-        let pair = self.pair_index[start..]
-            .iter()
-            .take_while(|&&(s, d, _)| (s, d) == key)
-            .map(|&(_, _, pos)| pos);
-        let hit = pair
+        let hit = self
+            .pair_positions(tuple.src.0, tuple.dst.0)
             .chain(self.wild_index.iter().copied())
             .map(|pos| &self.entries[pos as usize])
             .filter(|e| e.rule.matcher.matches(tuple))
@@ -218,9 +241,8 @@ impl Persist for FlowRule {
 }
 
 /// Entries round-trip verbatim in installation order (`seq` decides
-/// lookup tie-breaks, so it must survive); the lookup accelerator is
-/// rebuilt lazily on the first post-restore lookup rather than
-/// serialized.
+/// lookup tie-breaks, so it must survive); the index is rebuilt lazily
+/// by the first post-restore lookup or install rather than serialized.
 impl Persist for FlowTable {
     fn put(&self, w: &mut SectionWriter) {
         (self.capacity as u64).put(w);
@@ -247,6 +269,7 @@ impl Persist for FlowTable {
         }
         let mut entries = Vec::with_capacity(n);
         let mut seqs = std::collections::BTreeSet::new();
+        let mut keys = HashSet::with_capacity(n);
         for _ in 0..n {
             let rule = FlowRule::get(r)?;
             let seq = u64::get(r)?;
@@ -256,10 +279,7 @@ impl Persist for FlowTable {
             if !seqs.insert(seq) {
                 return Err(r.malformed(format!("duplicate rule seq {seq}")));
             }
-            if entries
-                .iter()
-                .any(|e: &Entry| e.rule.matcher == rule.matcher && e.rule.priority == rule.priority)
-            {
+            if !keys.insert((rule.matcher, rule.priority)) {
                 return Err(r.malformed("duplicate (matcher, priority) rule"));
             }
             entries.push(Entry { rule, seq });
@@ -337,6 +357,119 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, TableError::TableFull { capacity: 1 });
         assert_eq!(t.occupancy(), 1.0);
+    }
+
+    fn seq_of(t: &FlowTable, m: &FlowMatch, prio: u16) -> u64 {
+        t.entries
+            .iter()
+            .find(|e| e.rule.matcher == *m && e.rule.priority == prio)
+            .unwrap()
+            .seq
+    }
+
+    #[test]
+    fn replace_after_remove_keeps_entry_and_seq() {
+        let mut t = FlowTable::new(8);
+        let pair = FlowMatch::server_pair(NodeId(1), NodeId(2));
+        let other = FlowMatch::server_pair(NodeId(1), NodeId(3));
+        let mut tcp = FlowMatch::ANY;
+        tcp.proto = Some(pythia_netsim::Protocol::Tcp);
+        t.install(rule(other, 5, 3)).unwrap();
+        t.install(rule(pair, 5, 1)).unwrap();
+        t.install(rule(tcp, 5, 2)).unwrap(); // ties `pair` on priority
+        let seq = seq_of(&t, &pair, 5);
+        assert_eq!(t.remove(&other), 1);
+        assert!(t.index_dirty);
+        t.install(rule(pair, 5, 9)).unwrap();
+        assert_eq!(t.len(), 2);
+        assert_eq!(seq_of(&t, &pair, 5), seq);
+        // `pair` still predates `tcp`, so it still wins the tie.
+        assert_eq!(t.lookup(&tuple(1)).unwrap().out_link, LinkId(9));
+    }
+
+    #[test]
+    fn wildcard_endpoint_replace_updates_in_place() {
+        let mut t = FlowTable::new(8);
+        let mut from1 = FlowMatch::ANY;
+        from1.src = Some(NodeId(1));
+        t.install(rule(FlowMatch::server_pair(NodeId(1), NodeId(2)), 1, 1))
+            .unwrap();
+        t.install(rule(from1, 7, 2)).unwrap();
+        t.install(rule(from1, 3, 3)).unwrap(); // other priority: a new rule
+        let seq = seq_of(&t, &from1, 7);
+        t.install(rule(from1, 7, 4)).unwrap();
+        assert_eq!(t.len(), 3);
+        assert_eq!(seq_of(&t, &from1, 7), seq);
+        assert_eq!(t.lookup(&tuple(1)).unwrap().out_link, LinkId(4));
+    }
+
+    #[test]
+    fn full_table_accepts_replace_but_not_new_rule() {
+        let mut t = FlowTable::new(2);
+        let pair = FlowMatch::server_pair(NodeId(1), NodeId(2));
+        let mut to2 = FlowMatch::ANY;
+        to2.dst = Some(NodeId(2));
+        t.install(rule(pair, 5, 1)).unwrap();
+        t.install(rule(to2, 5, 2)).unwrap();
+        t.install(rule(pair, 5, 3)).unwrap();
+        t.install(rule(to2, 5, 4)).unwrap();
+        assert_eq!(t.len(), 2);
+        let full = Err(TableError::TableFull { capacity: 2 });
+        assert_eq!(t.install(rule(pair, 6, 5)), full);
+        assert_eq!(
+            t.install(rule(FlowMatch::server_pair(NodeId(1), NodeId(4)), 5, 5)),
+            full
+        );
+        assert_eq!(t.install(rule(FlowMatch::ANY, 5, 5)), full);
+        assert_eq!(t.lookup(&tuple(1)).unwrap().out_link, LinkId(3));
+    }
+
+    #[test]
+    fn snapshot_with_duplicate_rule_is_malformed() {
+        let dup = rule(FlowMatch::server_pair(NodeId(1), NodeId(2)), 5, 1);
+        let mut w = pythia_snapshot::Writer::new();
+        w.section("table", |s| {
+            4u64.put(s); // capacity
+            2u64.put(s); // next_seq
+            0u64.put(s); // lookups
+            0u64.put(s); // misses
+            2u64.put(s); // rule count
+            for seq in 0..2u64 {
+                dup.put(s);
+                seq.put(s);
+            }
+        });
+        let bytes = w.finish();
+        let mut sec = pythia_snapshot::Reader::new(&bytes)
+            .unwrap()
+            .section("table")
+            .unwrap();
+        match FlowTable::get(&mut sec) {
+            Err(SnapshotError::Malformed { detail, .. }) => {
+                assert_eq!(detail, "duplicate (matcher, priority) rule")
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn snapshot_round_trips_and_replaces_in_place() {
+        let mut t = FlowTable::new(4);
+        let pair = FlowMatch::server_pair(NodeId(1), NodeId(2));
+        t.install(rule(pair, 5, 1)).unwrap();
+        t.install(rule(FlowMatch::ANY, 0, 2)).unwrap();
+        let mut w = pythia_snapshot::Writer::new();
+        w.section("table", |s| t.put(s));
+        let bytes = w.finish();
+        let mut sec = pythia_snapshot::Reader::new(&bytes)
+            .unwrap()
+            .section("table")
+            .unwrap();
+        // Restored with a dirty index: the replace must still find it.
+        let mut back = FlowTable::get(&mut sec).unwrap();
+        back.install(rule(pair, 5, 7)).unwrap();
+        assert_eq!(back.len(), 2);
+        assert_eq!(back.lookup(&tuple(1)).unwrap().out_link, LinkId(7));
     }
 
     #[test]
